@@ -793,10 +793,10 @@ void report_serve_latency() {
   options.port = 0;  // ephemeral
   options.batch_size = kBatch;
   options.flush_interval = std::chrono::microseconds(2'000);
-  options.mapping = {};
-  hdc::serve::NetServer server(
+  hdc::serve::LocalPredictor predictor(
       hdc::io::load_pipeline(snap_path, hdc::io::SnapshotIntegrity::Trust),
-      snap_path, options);
+      snap_path);
+  hdc::serve::NetServer server(predictor, options);
   std::thread server_thread([&server] { server.run(); });
 
   std::vector<double> latencies;

@@ -28,11 +28,12 @@
 /// the replacement first (load + `ensure_swappable`), so a bad snapshot is
 /// rejected before any rank has flipped.
 ///
-/// Worker failure surfaces as `ClusterError` from the faulting call;
-/// `serve_stream()` additionally drains what the batch admitted before the
-/// fault (flushes every already-written prediction) and rethrows with the
-/// input line number, so a stream consumer can tell exactly which rows were
-/// answered.
+/// `ShardedServer` is a `serve::Predictor`, so the stdin `serve::Server`
+/// and the socket `serve::NetServer` drive it through the same micro-batch
+/// loop as a single process.  Worker failure surfaces as `ClusterError`
+/// from the faulting call; the shared loop drains every row answered before
+/// the fault and names the input line (`serve::PredictError`), so a stream
+/// consumer can tell exactly which rows were answered.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,17 +41,13 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hdc/cluster/comm.hpp"
 #include "hdc/cluster/shard.hpp"
-#include "hdc/core/confidence.hpp"
 #include "hdc/io/pipeline.hpp"
 #include "hdc/io/snapshot.hpp"
-#include "hdc/serve/adaptive_state.hpp"
-#include "hdc/serve/prediction_writer.hpp"
-#include "hdc/serve/row_reader.hpp"
+#include "hdc/serve/predictor.hpp"
 
 namespace hdc::cluster {
 
@@ -62,7 +59,7 @@ struct ClusterOptions {
   io::MappingOptions mapping{};
 };
 
-/// One rank's counters, as reported by `!stats` and the stats() exchange.
+/// One rank's counters, as reported by `!stats` and rank_stats().
 struct RankStats {
   std::size_t rank = 0;
   std::uint64_t generation = 0;
@@ -71,7 +68,7 @@ struct RankStats {
 };
 
 /// Coordinator over N worker ranks; thread-safe (exchanges serialize).
-class ShardedServer {
+class ShardedServer final : public serve::Predictor {
  public:
   /// Builds the comm (forking before any thread pool exists — construct
   /// this before `NetServer` or other pool owners) and barriers once so a
@@ -79,8 +76,13 @@ class ShardedServer {
   /// \throws ClusterError / io::SnapshotError / std::invalid_argument.
   ShardedServer(std::string snapshot_path, ClusterOptions options);
 
-  [[nodiscard]] io::PipelineKind kind() const noexcept;
-  [[nodiscard]] std::size_t num_features() const noexcept;
+  /// The wire shape, read once at construction: reloads keep it, and
+  /// the rank-0 pipeline it comes from is replaced under the exchange lock.
+  [[nodiscard]] io::PipelineKind kind() const override { return kind_; }
+  [[nodiscard]] io::PipelineInput input() const override { return input_; }
+  [[nodiscard]] std::size_t num_features() const override {
+    return num_features_;
+  }
   [[nodiscard]] std::size_t dimension() const noexcept;
   [[nodiscard]] std::size_t replicas() const noexcept { return comm_->size(); }
   [[nodiscard]] ShardScheme scheme() const noexcept { return options_.scheme; }
@@ -91,41 +93,22 @@ class ShardedServer {
     return comm_->worker_pids();
   }
 
-  /// One generation-atomic batch: predictions[i] answers rows[i] (labels as
-  /// doubles for classifier pipelines, exactly like serve::Server).
+  /// One generation-atomic batch: predictions[i] answers row i (labels as
+  /// doubles for classifier pipelines).  Heads reduce exactly as
+  /// predictions do — classifier ranks report slice top-2 candidates
+  /// merged with merge_top2(), regressor ranks report slice distance
+  /// profiles that concatenate into the full label grid — so every head is
+  /// bit-identical to the single-process batch engines.
   /// \throws ClusterError on worker failure or torn generation;
-  /// std::invalid_argument if a row's arity is wrong.
-  struct BatchResult {
-    std::vector<double> predictions;
-    std::uint64_t generation = 0;
-  };
-  [[nodiscard]] BatchResult predict(
-      std::span<const std::vector<double>> rows);
+  /// std::invalid_argument on a batch of the wrong input mode or arity.
+  [[nodiscard]] serve::Predictions predict(const serve::SampleBatch& batch,
+                                           serve::HeadMode head) override;
 
-  /// The text twin of predict(): one generation-atomic batch of raw-text
-  /// rows for a sequence/n-gram pipeline, with the same bit-identity
-  /// contract against per-row classify_text()/regress_text().
-  /// \throws ClusterError as predict(); std::invalid_argument when the
-  /// pipeline takes numeric rows.
-  [[nodiscard]] BatchResult predict_text(std::span<const std::string> rows);
-
-  /// One head-carrying batch: values[i] answers rows[i] and either
-  /// confidences[i] (classifier pipelines) or bands[i] (regressor
-  /// pipelines) carries its head.  Heads reduce exactly as predictions do —
-  /// classifier ranks report slice top-2 candidates merged with
-  /// merge_top2(), regressor ranks report slice distance profiles that
-  /// concatenate into the full label grid — so every head is bit-identical
-  /// to the single-process batch engines.
-  struct HeadBatchResult {
-    std::vector<double> values;
-    std::vector<double> confidences;  ///< One per row for classifiers.
-    std::vector<Band> bands;          ///< One per row for regressors.
-    std::uint64_t generation = 0;
-  };
-  [[nodiscard]] HeadBatchResult predict_head(
-      std::span<const std::vector<double>> rows);
-  [[nodiscard]] HeadBatchResult predict_text_head(
-      std::span<const std::string> rows);
+  /// predict() of numeric rows without a head.
+  [[nodiscard]] serve::Predictions predict(
+      std::span<const std::vector<double>> rows) {
+    return predict(rows, serve::HeadMode::None);
+  }
 
   /// Hot-swaps every rank to \p path ("" reloads the active source; an
   /// HDCS delta file patches the tracked base).  Validates on rank 0
@@ -133,59 +116,42 @@ class ShardedServer {
   /// generation.
   /// \throws io::SnapshotError on rejection; ClusterError if a rank failed
   /// after validation (the cluster is then inconsistent and unusable).
-  std::uint64_t reload(const std::string& path);
+  std::uint64_t reload(const std::string& path) override;
 
   /// One `!adapt` feedback sample, broadcast to every rank: each applies
   /// it to its deterministic rank-local overlay and serves the adapted
   /// model from the next batch on.  The full response payload must be
   /// byte-identical on every rank — divergence is a hard ClusterError.
   /// \throws ClusterError on worker failure or divergence;
-  /// std::invalid_argument on arity mismatch (validated rank-side too).
-  serve::AdaptOutcome adapt(double target, std::span<const double> features);
-
-  /// The text twin of adapt(): one raw-text feedback sample broadcast to
-  /// every rank.  \throws as adapt(); std::invalid_argument when the
-  /// pipeline takes numeric rows.
-  serve::AdaptOutcome adapt_text(double target, std::string_view text);
+  /// std::invalid_argument on a mode or arity mismatch (validated rank-side
+  /// too).
+  serve::AdaptOutcome adapt(const serve::Sample& sample,
+                            double target) override;
 
   /// Writes the cluster's adapted-vs-base difference (gathered as
   /// per-rank changed-row sets, verified byte-identical) as an HDCS delta
   /// file at \p out_path; returns the changed-row count.
   /// \throws ClusterError on divergence; std::runtime_error when nothing
   /// differs from the base; io::SnapshotError on write failure.
-  std::uint64_t export_delta(const std::string& out_path);
+  std::uint64_t export_delta(const std::string& out_path) override;
 
   /// The last *full* snapshot the cluster loaded (delta reloads keep it).
   [[nodiscard]] std::string base_path() const;
 
   /// Last generation every rank agreed on.
-  [[nodiscard]] std::uint64_t generation() const;
+  [[nodiscard]] std::uint64_t generation() const override;
 
   /// Path serving the current generation.
-  [[nodiscard]] std::string source_path() const;
+  [[nodiscard]] std::string source() const override;
 
   /// Per-rank counters, gathered live.  \throws ClusterError as predict().
-  [[nodiscard]] std::vector<RankStats> stats();
+  [[nodiscard]] std::vector<RankStats> rank_stats();
 
-  /// Streaming front end: reads rows (numeric or raw text, following the
-  /// reader's format), predicts in micro-batches of \p batch_size, writes
-  /// predictions — with confidence/band heads when the writer carries a
-  /// HeadMode — in input order.  On ClusterError the admitted rows of
-  /// earlier batches are already flushed downstream and the error is
-  /// rethrown with the current input line appended.
-  /// \throws std::invalid_argument when the reader's format disagrees with
-  /// the pipeline's input mode or the writer's head with its kind.
-  struct StreamStats {
-    std::uint64_t rows = 0;
-    std::uint64_t batches = 0;
-  };
-  StreamStats serve_stream(serve::RowReader& reader,
-                           serve::PredictionWriter& writer,
-                           std::size_t batch_size);
+  /// rank_stats() as the `!stats` reply fields:
+  /// ` rankR=rows:N,batches:B,gen:G` per rank.
+  [[nodiscard]] std::string stats() override;
 
  private:
-  [[nodiscard]] BatchResult predict_locked(
-      std::span<const std::vector<double>> rows);
   /// Scatter builders for the two input modes; Rows-scheme requests carry
   /// each rank's row slice, Classes-scheme requests broadcast the batch.
   [[nodiscard]] std::vector<std::string> build_predict_requests(
@@ -193,20 +159,20 @@ class ShardedServer {
   [[nodiscard]] std::vector<std::string> build_text_requests(
       std::span<const std::string> rows, bool head);
   /// Generation check + the scheme reduce over gathered predict responses.
-  [[nodiscard]] BatchResult gather_predictions(
+  [[nodiscard]] serve::Predictions gather_predictions(
       const std::vector<std::string>& responses, std::size_t nrows);
-  [[nodiscard]] HeadBatchResult gather_heads(
+  [[nodiscard]] serve::Predictions gather_heads(
       const std::vector<std::string>& responses, std::size_t nrows);
   [[nodiscard]] std::uint64_t checked_generation(
       const std::vector<std::string>& responses) const;
-  /// Broadcast + divergence check + outcome parse shared by both adapt
-  /// entry points.
-  [[nodiscard]] serve::AdaptOutcome adapt_exchange(std::string request);
   [[nodiscard]] std::vector<std::string> checked_exchange(
       std::vector<std::string> requests, const char* what);
 
   ClusterOptions options_;
   std::unique_ptr<Comm> comm_;
+  io::PipelineKind kind_{};
+  io::PipelineInput input_{};
+  std::size_t num_features_ = 0;
   mutable std::mutex mutex_;
   std::uint64_t generation_ = 1;
   std::string source_path_;

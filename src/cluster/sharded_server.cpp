@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "hdc/io/delta.hpp"
 #include "hdc/io/reload.hpp"
@@ -36,14 +37,10 @@ ShardedServer::ShardedServer(std::string snapshot_path,
     comm_ = std::make_unique<ForkComm>(base, options_.replicas);
   }
   comm_->barrier();
-}
-
-io::PipelineKind ShardedServer::kind() const noexcept {
-  return comm_->local_worker().pipeline().kind();
-}
-
-std::size_t ShardedServer::num_features() const noexcept {
-  return comm_->local_worker().pipeline().num_features();
+  const io::Pipeline& pipeline = comm_->local_worker().pipeline();
+  kind_ = pipeline.kind();
+  input_ = pipeline.input();
+  num_features_ = pipeline.num_features();
 }
 
 std::size_t ShardedServer::dimension() const noexcept {
@@ -67,49 +64,29 @@ std::vector<std::string> ShardedServer::checked_exchange(
   return responses;
 }
 
-ShardedServer::BatchResult ShardedServer::predict(
-    std::span<const std::vector<double>> rows) {
+serve::Predictions ShardedServer::predict(const serve::SampleBatch& batch,
+                                          serve::HeadMode head) {
+  const bool with_head = head != serve::HeadMode::None;
   const std::lock_guard<std::mutex> lock(mutex_);
-  return predict_locked(rows);
-}
-
-ShardedServer::BatchResult ShardedServer::predict_locked(
-    std::span<const std::vector<double>> rows) {
-  const std::vector<std::string> responses = checked_exchange(
-      build_predict_requests(rows, /*head=*/false), "predict");
-  return gather_predictions(responses, rows.size());
-}
-
-ShardedServer::BatchResult ShardedServer::predict_text(
-    std::span<const std::string> rows) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::vector<std::string> responses = checked_exchange(
-      build_text_requests(rows, /*head=*/false), "predict");
-  return gather_predictions(responses, rows.size());
-}
-
-ShardedServer::HeadBatchResult ShardedServer::predict_head(
-    std::span<const std::vector<double>> rows) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::vector<std::string> responses = checked_exchange(
-      build_predict_requests(rows, /*head=*/true), "predict");
-  return gather_heads(responses, rows.size());
-}
-
-ShardedServer::HeadBatchResult ShardedServer::predict_text_head(
-    std::span<const std::string> rows) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::vector<std::string> responses = checked_exchange(
-      build_text_requests(rows, /*head=*/true), "predict");
-  return gather_heads(responses, rows.size());
+  std::vector<std::string> requests =
+      serve::is_text(batch)
+          ? build_text_requests(std::get<std::span<const std::string>>(batch),
+                                with_head)
+          : build_predict_requests(
+                std::get<std::span<const std::vector<double>>>(batch),
+                with_head);
+  const std::vector<std::string> responses =
+      checked_exchange(std::move(requests), "predict");
+  const std::size_t nrows = serve::batch_size(batch);
+  return with_head ? gather_heads(responses, nrows)
+                   : gather_predictions(responses, nrows);
 }
 
 std::vector<std::string> ShardedServer::build_predict_requests(
     std::span<const std::vector<double>> rows, bool head) {
-  if (comm_->local_worker().pipeline().input() !=
-      io::PipelineInput::Numeric) {
+  if (input() != io::PipelineInput::Numeric) {
     throw std::invalid_argument{
-        "cluster predict: text pipeline takes raw rows (predict_text)"};
+        "cluster predict: text pipeline takes raw text rows"};
   }
   const std::size_t nfeat = num_features();
   for (const std::vector<double>& row : rows) {
@@ -119,10 +96,6 @@ std::vector<std::string> ShardedServer::build_predict_requests(
   }
   const std::size_t replicas = comm_->size();
   const std::size_t nrows = rows.size();
-  const auto encode = [&](const double* data, std::size_t count) {
-    return head ? encode_predict2_request(data, count, nfeat, true)
-                : encode_predict_request(data, count, nfeat);
-  };
 
   std::vector<std::string> requests(replicas);
   if (options_.scheme == ShardScheme::Rows) {
@@ -135,7 +108,8 @@ std::vector<std::string> ShardedServer::build_predict_requests(
       for (std::size_t i = begin; i < end; ++i) {
         flat.insert(flat.end(), rows[i].begin(), rows[i].end());
       }
-      requests[rank] = encode(flat.data(), end - begin);
+      requests[rank] =
+          encode_predict2_request(flat.data(), end - begin, nfeat, head);
     }
   } else {
     std::vector<double> flat;
@@ -143,7 +117,8 @@ std::vector<std::string> ShardedServer::build_predict_requests(
     for (const std::vector<double>& row : rows) {
       flat.insert(flat.end(), row.begin(), row.end());
     }
-    const std::string request = encode(flat.data(), nrows);
+    const std::string request =
+        encode_predict2_request(flat.data(), nrows, nfeat, head);
     for (std::size_t rank = 0; rank < replicas; ++rank) {
       requests[rank] = request;
     }
@@ -153,7 +128,7 @@ std::vector<std::string> ShardedServer::build_predict_requests(
 
 std::vector<std::string> ShardedServer::build_text_requests(
     std::span<const std::string> rows, bool head) {
-  if (comm_->local_worker().pipeline().input() != io::PipelineInput::Text) {
+  if (input() != io::PipelineInput::Text) {
     throw std::invalid_argument{
         "cluster predict: numeric pipeline takes feature rows, not text"};
   }
@@ -189,10 +164,10 @@ std::uint64_t ShardedServer::checked_generation(
   return generation;
 }
 
-ShardedServer::BatchResult ShardedServer::gather_predictions(
+serve::Predictions ShardedServer::gather_predictions(
     const std::vector<std::string>& responses, std::size_t nrows) {
   const std::size_t replicas = responses.size();
-  BatchResult result;
+  serve::Predictions result;
   result.generation = checked_generation(responses);
   result.predictions.reserve(nrows);
   if (options_.scheme == ShardScheme::Rows) {
@@ -241,13 +216,13 @@ ShardedServer::BatchResult ShardedServer::gather_predictions(
   return result;
 }
 
-ShardedServer::HeadBatchResult ShardedServer::gather_heads(
+serve::Predictions ShardedServer::gather_heads(
     const std::vector<std::string>& responses, std::size_t nrows) {
   const std::size_t replicas = responses.size();
   const bool classifier = kind() == io::PipelineKind::Classifier;
-  HeadBatchResult result;
+  serve::Predictions result;
   result.generation = checked_generation(responses);
-  result.values.reserve(nrows);
+  result.predictions.reserve(nrows);
   if (classifier) {
     result.confidences.reserve(nrows);
   } else {
@@ -263,7 +238,7 @@ ShardedServer::HeadBatchResult ShardedServer::gather_heads(
       const std::size_t count = get_u64(r, kCountOffset);
       for (std::size_t i = 0; i < count; ++i) {
         const std::size_t base = kDataOffset + i * fields * 8;
-        result.values.push_back(get_f64(r, base));
+        result.predictions.push_back(get_f64(r, base));
         if (classifier) {
           result.confidences.push_back(get_f64(r, base + 8));
         } else {
@@ -273,7 +248,7 @@ ShardedServer::HeadBatchResult ShardedServer::gather_heads(
         }
       }
     }
-    if (result.values.size() != nrows) {
+    if (result.predictions.size() != nrows) {
       throw ClusterError{"cluster predict: row count mismatch in gather"};
     }
   } else if (classifier) {
@@ -291,7 +266,7 @@ ShardedServer::HeadBatchResult ShardedServer::gather_heads(
       if (merged.best.absent()) {
         throw ClusterError{"cluster predict: no candidate from any rank"};
       }
-      result.values.push_back(static_cast<double>(merged.best.index));
+      result.predictions.push_back(static_cast<double>(merged.best.index));
       result.confidences.push_back(margin_confidence(merged));
     }
   } else {
@@ -328,7 +303,7 @@ ShardedServer::HeadBatchResult ShardedServer::gather_heads(
           best = j;
         }
       }
-      result.values.push_back(labels.value_of(best));
+      result.predictions.push_back(labels.value_of(best));
       result.bands.push_back(band_from_distances(profile, labels, dim));
     }
   }
@@ -363,31 +338,25 @@ std::uint64_t ShardedServer::reload(const std::string& path) {
   return generation;
 }
 
-serve::AdaptOutcome ShardedServer::adapt(double target,
-                                         std::span<const double> features) {
+serve::AdaptOutcome ShardedServer::adapt(const serve::Sample& sample,
+                                         double target) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (comm_->local_worker().pipeline().input() != io::PipelineInput::Numeric) {
+  if (serve::is_text(sample) != (input() == io::PipelineInput::Text)) {
     throw std::invalid_argument{
-        "cluster adapt: text pipeline takes raw samples (adapt_text)"};
+        std::string{"cluster adapt: the pipeline takes "} +
+        io::to_string(input()) + " rows, not " +
+        (serve::is_text(sample) ? "text" : "numeric") + " rows"};
   }
-  if (features.size() != num_features()) {
-    throw std::invalid_argument{"cluster adapt: feature arity mismatch"};
+  std::string request;
+  if (const auto* text = std::get_if<std::string_view>(&sample)) {
+    request = encode_adapt_text_request(target, *text);
+  } else {
+    const auto features = std::get<std::span<const double>>(sample);
+    if (features.size() != num_features()) {
+      throw std::invalid_argument{"cluster adapt: feature arity mismatch"};
+    }
+    request = encode_adapt_request(target, features.data(), features.size());
   }
-  return adapt_exchange(
-      encode_adapt_request(target, features.data(), features.size()));
-}
-
-serve::AdaptOutcome ShardedServer::adapt_text(double target,
-                                              std::string_view text) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (comm_->local_worker().pipeline().input() != io::PipelineInput::Text) {
-    throw std::invalid_argument{
-        "cluster adapt: numeric pipeline takes feature rows, not text"};
-  }
-  return adapt_exchange(encode_adapt_text_request(target, text));
-}
-
-serve::AdaptOutcome ShardedServer::adapt_exchange(std::string request) {
   const std::vector<std::string> responses = checked_exchange(
       std::vector<std::string>(comm_->size(), std::move(request)), "adapt");
   // Every rank applied the same sample to a deterministically-seeded
@@ -456,12 +425,12 @@ std::uint64_t ShardedServer::generation() const {
   return generation_;
 }
 
-std::string ShardedServer::source_path() const {
+std::string ShardedServer::source() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return source_path_;
 }
 
-std::vector<RankStats> ShardedServer::stats() {
+std::vector<RankStats> ShardedServer::rank_stats() {
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::vector<std::string> responses = checked_exchange(
       std::vector<std::string>(comm_->size(), encode_stats_request()),
@@ -479,109 +448,15 @@ std::vector<RankStats> ShardedServer::stats() {
   return out;
 }
 
-ShardedServer::StreamStats ShardedServer::serve_stream(
-    serve::RowReader& reader, serve::PredictionWriter& writer,
-    std::size_t batch_size) {
-  if (batch_size == 0) {
-    batch_size = 1;
+std::string ShardedServer::stats() {
+  std::string out;
+  for (const RankStats& rank : rank_stats()) {
+    out += " rank" + std::to_string(rank.rank) +
+           "=rows:" + std::to_string(rank.rows) +
+           ",batches:" + std::to_string(rank.batches) +
+           ",gen:" + std::to_string(rank.generation);
   }
-  const bool text = reader.format() == serve::RowFormat::Text;
-  const bool pipeline_text =
-      comm_->local_worker().pipeline().input() == io::PipelineInput::Text;
-  if (text != pipeline_text) {
-    throw std::invalid_argument{
-        std::string{"cluster serve: the pipeline takes "} +
-        io::to_string(comm_->local_worker().pipeline().input()) +
-        " rows but the reader's format disagrees"};
-  }
-  const bool classifier = kind() == io::PipelineKind::Classifier;
-  const serve::HeadMode head = writer.head();
-  if (head == serve::HeadMode::Confidence && !classifier) {
-    throw std::invalid_argument{
-        "cluster serve: confidence heads come from classifiers; regressor "
-        "pipelines emit bands"};
-  }
-  if (head == serve::HeadMode::Band && classifier) {
-    throw std::invalid_argument{
-        "cluster serve: band heads come from regressors; classifier "
-        "pipelines emit confidences"};
-  }
-
-  StreamStats stats;
-  std::vector<std::vector<double>> rows;
-  std::vector<std::string> text_rows;
-  std::vector<double> row;
-  std::string text_row;
-
-  const auto flush = [&] {
-    const std::size_t count = text ? text_rows.size() : rows.size();
-    if (count == 0) {
-      return;
-    }
-    BatchResult batch;
-    HeadBatchResult heads;
-    try {
-      if (head == serve::HeadMode::None) {
-        batch = text ? predict_text(text_rows) : predict(rows);
-      } else {
-        heads = text ? predict_text_head(text_rows) : predict_head(rows);
-      }
-    } catch (const ClusterError& e) {
-      // Drain what earlier batches admitted, then rethrow with the stream
-      // position: the consumer knows exactly which rows were answered.
-      try {
-        writer.flush();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-      throw ClusterError{std::string{e.what()} + " (at input line " +
-                         std::to_string(reader.line_number()) + "; " +
-                         std::to_string(stats.rows) +
-                         " rows already answered)"};
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t index = static_cast<std::size_t>(stats.rows) + i;
-      if (head == serve::HeadMode::Confidence) {
-        writer.write_class(index,
-                           static_cast<std::size_t>(heads.values[i]),
-                           heads.confidences[i], 0.0);
-      } else if (head == serve::HeadMode::Band) {
-        writer.write_band(index, heads.values[i], heads.bands[i], 0.0);
-      } else if (classifier) {
-        writer.write_class(
-            index, static_cast<std::size_t>(batch.predictions[i]), 0.0);
-      } else {
-        writer.write(index, batch.predictions[i], 0.0);
-      }
-    }
-    writer.flush();
-    stats.rows += count;
-    ++stats.batches;
-    rows.clear();
-    text_rows.clear();
-  };
-
-  bool more = true;
-  while (more) {
-    try {
-      more = text ? reader.next_text(text_row) : reader.next(row);
-    } catch (const serve::RowError&) {
-      flush();  // Answer everything admitted before the malformed line.
-      throw;
-    }
-    if (!more) {
-      break;
-    }
-    if (text) {
-      text_rows.push_back(text_row);
-    } else {
-      rows.push_back(row);
-    }
-    if ((text ? text_rows.size() : rows.size()) >= batch_size) {
-      flush();
-    }
-  }
-  flush();
-  return stats;
+  return out;
 }
 
 }  // namespace hdc::cluster

@@ -20,15 +20,48 @@ namespace hdc::cluster {
 
 namespace {
 
-/// Minimum payload bytes for a predict request header (op + two u64).
-constexpr std::size_t kPredictHeader = 1 + 8 + 8;
-
 [[nodiscard]] std::string error_response(const std::string& message) {
   std::string out;
   out.reserve(1 + message.size());
   out.push_back(static_cast<char>(kWorkerErr));
   out.append(message);
   return out;
+}
+
+/// Reads the flags byte that leads a Predict2/Adapt body, rejecting bits
+/// outside \p allowed and a text/numeric mode that disagrees with the
+/// pipeline; returns whether the request carries text.
+bool request_mode(std::string_view body, std::uint8_t allowed,
+                  const io::Pipeline& pipeline, const char* what) {
+  if (body.empty()) {
+    throw std::invalid_argument{std::string{what} + ": missing flags byte"};
+  }
+  const auto flags = static_cast<std::uint8_t>(body[0]);
+  if ((flags & ~allowed) != 0) {
+    throw std::invalid_argument{std::string{what} +
+                                ": unknown request flags"};
+  }
+  const bool text = (flags & kPredictFlagText) != 0;
+  if (text != (pipeline.input() == io::PipelineInput::Text)) {
+    throw std::invalid_argument{
+        std::string{what} + ": request carries " +
+        (text ? "text" : "numeric") + " rows but the pipeline takes " +
+        io::to_string(pipeline.input()) + " rows"};
+  }
+  return text;
+}
+
+/// One `[u64 len][len bytes]` field at \p at, which advances past it.
+std::string_view text_field(std::string_view body, std::size_t& at,
+                            const char* truncated) {
+  const std::size_t len = get_u64(body, at);
+  at += 8;
+  if (len > body.size() - at) {
+    throw std::invalid_argument{truncated};
+  }
+  const std::string_view field = body.substr(at, len);
+  at += len;
+  return field;
 }
 
 }  // namespace
@@ -67,19 +100,6 @@ std::string encode_ping_request() {
   return std::string(1, static_cast<char>(WorkerOp::Ping));
 }
 
-std::string encode_predict_request(const double* rows, std::size_t nrows,
-                                   std::size_t nfeat) {
-  std::string out;
-  out.reserve(kPredictHeader + nrows * nfeat * 8);
-  out.push_back(static_cast<char>(WorkerOp::Predict));
-  put_u64(out, nrows);
-  put_u64(out, nfeat);
-  if (nrows * nfeat != 0) {
-    out.append(reinterpret_cast<const char*>(rows), nrows * nfeat * 8);
-  }
-  return out;
-}
-
 std::string encode_reload_request(const std::string& path) {
   std::string out;
   out.reserve(1 + 8 + path.size());
@@ -100,8 +120,9 @@ std::string encode_shutdown_request() {
 std::string encode_adapt_request(double target, const double* features,
                                  std::size_t nfeat) {
   std::string out;
-  out.reserve(1 + 8 + 8 + nfeat * 8);
+  out.reserve(2 + 8 + 8 + nfeat * 8);
   out.push_back(static_cast<char>(WorkerOp::Adapt));
+  out.push_back(0);
   put_f64(out, target);
   put_u64(out, nfeat);
   if (nfeat != 0) {
@@ -117,7 +138,7 @@ std::string encode_delta_rows_request() {
 std::string encode_predict2_request(const double* rows, std::size_t nrows,
                                     std::size_t nfeat, bool head) {
   std::string out;
-  out.reserve(2 + kPredictHeader - 1 + nrows * nfeat * 8);
+  out.reserve(2 + 8 + 8 + nrows * nfeat * 8);
   out.push_back(static_cast<char>(WorkerOp::Predict2));
   out.push_back(static_cast<char>(head ? kPredictFlagHead : 0));
   put_u64(out, nrows);
@@ -149,8 +170,9 @@ std::string encode_predict2_text_request(std::span<const std::string> rows,
 
 std::string encode_adapt_text_request(double target, std::string_view text) {
   std::string out;
-  out.reserve(1 + 8 + 8 + text.size());
-  out.push_back(static_cast<char>(WorkerOp::AdaptText));
+  out.reserve(2 + 8 + 8 + text.size());
+  out.push_back(static_cast<char>(WorkerOp::Adapt));
+  out.push_back(static_cast<char>(kPredictFlagText));
   put_f64(out, target);
   put_u64(out, text.size());
   out.append(text);
@@ -182,8 +204,6 @@ std::string Worker::handle(std::string_view request) {
         put_u64(out, cfg_.rank);
         return out;
       }
-      case WorkerOp::Predict:
-        return handle_predict(request.substr(1));
       case WorkerOp::Reload:
         return handle_reload(request.substr(1));
       case WorkerOp::Stats: {
@@ -203,8 +223,6 @@ std::string Worker::handle(std::string_view request) {
         return handle_delta_rows();
       case WorkerOp::Predict2:
         return handle_predict2(request.substr(1));
-      case WorkerOp::AdaptText:
-        return handle_adapt_text(request.substr(1));
     }
     return error_response("unknown opcode");
   } catch (const std::exception& e) {
@@ -212,70 +230,19 @@ std::string Worker::handle(std::string_view request) {
   }
 }
 
-std::string Worker::handle_predict(std::string_view body) {
-  const std::size_t nrows = get_u64(body, 0);
-  const std::size_t nfeat = get_u64(body, 8);
-  if (nfeat != loaded_.pipeline.num_features()) {
-    throw std::invalid_argument{"predict: feature arity mismatch"};
-  }
-  const std::size_t want = 16 + nrows * nfeat * 8;
-  if (body.size() != want) {
-    throw std::invalid_argument{"predict: truncated row payload"};
-  }
-  const char* data = body.data() + 16;
-  const io::Pipeline& p = loaded_.pipeline;
-  std::vector<Hypervector> encoded;
-  encoded.reserve(nrows);
-  std::vector<double> row(nfeat);
-  for (std::size_t i = 0; i < nrows; ++i) {
-    std::memcpy(row.data(), data + i * nfeat * 8, nfeat * 8);
-    encoded.push_back(p.encode(row));
-  }
-
-  std::string out;
-  out.push_back(static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
-  put_u64(out, nrows);
-  if (cfg_.scheme == ShardScheme::Rows) {
-    predict_rows(encoded, /*head=*/false, out);
-  } else {
-    predict_classes(encoded, /*head=*/false, out);
-  }
-  rows_ += nrows;
-  ++batches_;
-  return out;
-}
-
 std::string Worker::handle_predict2(std::string_view body) {
-  if (body.empty()) {
-    throw std::invalid_argument{"predict: missing flags byte"};
-  }
-  const std::uint8_t flags = static_cast<std::uint8_t>(body[0]);
-  if ((flags & ~(kPredictFlagText | kPredictFlagHead)) != 0) {
-    throw std::invalid_argument{"predict: unknown request flags"};
-  }
-  const bool text = (flags & kPredictFlagText) != 0;
-  const bool head = (flags & kPredictFlagHead) != 0;
+  const bool text = request_mode(body, kPredictFlagText | kPredictFlagHead,
+                                 loaded_.pipeline, "predict");
+  const bool head =
+      (static_cast<std::uint8_t>(body[0]) & kPredictFlagHead) != 0;
   const io::Pipeline& p = loaded_.pipeline;
-  if (text != (p.input() == io::PipelineInput::Text)) {
-    throw std::invalid_argument{
-        std::string{"predict: request carries "} +
-        (text ? "text" : "numeric") + " rows but the pipeline takes " +
-        io::to_string(p.input()) + " rows"};
-  }
   const std::size_t nrows = get_u64(body, 1);
   std::vector<Hypervector> encoded;
-  encoded.reserve(nrows);
   if (text) {
     std::size_t at = 9;
     for (std::size_t i = 0; i < nrows; ++i) {
-      const std::size_t len = get_u64(body, at);
-      at += 8;
-      if (len > body.size() - at) {
-        throw std::invalid_argument{"predict: truncated text row"};
-      }
-      encoded.push_back(p.encode_text(body.substr(at, len)));
-      at += len;
+      encoded.push_back(
+          p.encode_text(text_field(body, at, "predict: truncated text row")));
     }
     if (at != body.size()) {
       throw std::invalid_argument{"predict: trailing bytes after text rows"};
@@ -288,6 +255,7 @@ std::string Worker::handle_predict2(std::string_view body) {
     if (body.size() != 17 + nrows * nfeat * 8) {
       throw std::invalid_argument{"predict: truncated row payload"};
     }
+    encoded.reserve(nrows);
     std::vector<double> row(nfeat);
     for (std::size_t i = 0; i < nrows; ++i) {
       std::memcpy(row.data(), body.data() + 17 + i * nfeat * 8, nfeat * 8);
@@ -470,32 +438,31 @@ std::string Worker::handle_reload(std::string_view body) {
 }
 
 std::string Worker::handle_adapt(std::string_view body) {
-  const double target = get_f64(body, 0);
-  const std::size_t nfeat = get_u64(body, 8);
-  if (nfeat != loaded_.pipeline.num_features()) {
-    throw std::invalid_argument{"adapt: feature arity mismatch"};
-  }
-  if (body.size() != 16 + nfeat * 8) {
-    throw std::invalid_argument{"adapt: truncated feature payload"};
-  }
-  std::vector<double> row(nfeat);
-  std::memcpy(row.data(), body.data() + 16, nfeat * 8);
-  return adapt_response(target, loaded_.pipeline.encode(row));
-}
-
-std::string Worker::handle_adapt_text(std::string_view body) {
-  const double target = get_f64(body, 0);
-  const std::size_t len = get_u64(body, 8);
-  if (body.size() != 16 + len) {
-    throw std::invalid_argument{"adapt: truncated text payload"};
-  }
-  return adapt_response(target,
-                        loaded_.pipeline.encode_text(body.substr(16, len)));
-}
-
-std::string Worker::adapt_response(double target,
-                                   const Hypervector& encoded) {
+  const bool text =
+      request_mode(body, kPredictFlagText, loaded_.pipeline, "adapt");
+  const double target = get_f64(body, 1);
   const io::Pipeline& p = loaded_.pipeline;
+  Hypervector encoded;
+  if (text) {
+    std::size_t at = 9;
+    const std::string_view sample =
+        text_field(body, at, "adapt: truncated text payload");
+    if (at != body.size()) {
+      throw std::invalid_argument{"adapt: trailing bytes after the text"};
+    }
+    encoded = p.encode_text(sample);
+  } else {
+    const std::size_t nfeat = get_u64(body, 9);
+    if (nfeat != p.num_features()) {
+      throw std::invalid_argument{"adapt: feature arity mismatch"};
+    }
+    if (body.size() != 17 + nfeat * 8) {
+      throw std::invalid_argument{"adapt: truncated feature payload"};
+    }
+    std::vector<double> row(nfeat);
+    std::memcpy(row.data(), body.data() + 17, nfeat * 8);
+    encoded = p.encode(row);
+  }
   // Validate before lazily creating the overlay so a rejected sample
   // leaves the rank exactly as it was (every rank must stay in lockstep).
   std::size_t label = 0;

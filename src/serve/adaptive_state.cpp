@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "hdc/io/delta.hpp"
 
@@ -21,8 +22,22 @@ AdaptiveState::AdaptiveState(ServingStatePtr base, std::uint64_t seed)
   }
 }
 
-AdaptOutcome AdaptiveState::adapt_encoded(const Hypervector& encoded,
-                                          double target) {
+io::PipelineKind AdaptiveState::kind() const {
+  return base_->pipeline().kind();
+}
+
+io::PipelineInput AdaptiveState::input() const {
+  return base_->pipeline().input();
+}
+
+std::size_t AdaptiveState::num_features() const {
+  return base_->pipeline().num_features();
+}
+
+AdaptOutcome AdaptiveState::adapt(const Sample& sample, double target) {
+  // Encoding is const over shared encoder state; only the overlay update
+  // itself needs the lock.
+  const Hypervector encoded = encode_sample(base_->pipeline(), sample);
   AdaptOutcome out;
   const std::lock_guard<std::mutex> lock(mutex_);
   if (classifier_ != nullptr) {
@@ -46,15 +61,31 @@ AdaptOutcome AdaptiveState::adapt_encoded(const Hypervector& encoded,
   return out;
 }
 
-AdaptOutcome AdaptiveState::adapt(std::span<const double> features,
-                                  double target) {
-  // Encoding is const over shared encoder state; only the overlay update
-  // itself needs the lock.
-  return adapt_encoded(base_->pipeline().encode(features), target);
-}
-
-AdaptOutcome AdaptiveState::adapt_text(std::string_view text, double target) {
-  return adapt_encoded(base_->pipeline().encode_text(text), target);
+Predictions AdaptiveState::predict(const SampleBatch& batch, HeadMode head) {
+  Predictions out;
+  out.generation = base_->generation();
+  const std::size_t count = batch_size(batch);
+  out.predictions.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Hypervector encoded = encode_sample(
+        base_->pipeline(),
+        std::visit([i](const auto& rows) { return Sample(rows[i]); }, batch));
+    if (head != HeadMode::None && classifier_ != nullptr) {
+      Top2 top2;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        top2 = classifier_->predict_top2(encoded);
+      }
+      out.predictions.push_back(static_cast<double>(top2.best.index));
+      out.confidences.push_back(margin_confidence(top2));
+      continue;
+    }
+    out.predictions.push_back(predict_encoded(encoded));
+    if (head != HeadMode::None) {
+      out.bands.push_back(band_encoded(encoded));
+    }
+  }
+  return out;
 }
 
 double AdaptiveState::predict_encoded(const Hypervector& encoded) const {
@@ -65,29 +96,8 @@ double AdaptiveState::predict_encoded(const Hypervector& encoded) const {
   return regressor_->predict(encoded);
 }
 
-double AdaptiveState::predict(std::span<const double> features) const {
-  return predict_encoded(base_->pipeline().encode(features));
-}
-
-double AdaptiveState::predict_text(std::string_view text) const {
-  return predict_encoded(base_->pipeline().encode_text(text));
-}
-
-Top2 AdaptiveState::top2_encoded(const Hypervector& encoded) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (classifier_ == nullptr) {
-    throw std::logic_error(
-        "AdaptiveState: confidence heads come from classifier overlays");
-  }
-  return classifier_->predict_top2(encoded);
-}
-
-Top2 AdaptiveState::predict_top2(std::span<const double> features) const {
-  return top2_encoded(base_->pipeline().encode(features));
-}
-
-Top2 AdaptiveState::predict_top2_text(std::string_view text) const {
-  return top2_encoded(base_->pipeline().encode_text(text));
+double AdaptiveState::predict(const Sample& sample) const {
+  return predict_encoded(encode_sample(base_->pipeline(), sample));
 }
 
 Band AdaptiveState::band_encoded(const Hypervector& encoded) const {
@@ -99,12 +109,14 @@ Band AdaptiveState::band_encoded(const Hypervector& encoded) const {
   return regressor_->predict_band(encoded);
 }
 
-Band AdaptiveState::predict_band(std::span<const double> features) const {
-  return band_encoded(base_->pipeline().encode(features));
+Band AdaptiveState::predict_band(const Sample& sample) const {
+  return band_encoded(encode_sample(base_->pipeline(), sample));
 }
 
-Band AdaptiveState::predict_band_text(std::string_view text) const {
-  return band_encoded(base_->pipeline().encode_text(text));
+std::uint64_t AdaptiveState::reload(const std::string& /*path*/) {
+  throw std::logic_error(
+      "AdaptiveState: an overlay pins one generation; reload the serving "
+      "state instead");
 }
 
 std::uint64_t AdaptiveState::overlay_rows() const {
@@ -132,8 +144,8 @@ std::map<std::size_t, std::vector<std::uint64_t>> AdaptiveState::changed_rows()
                                 : regressor_->changed_rows();
 }
 
-std::size_t AdaptiveState::export_delta(const std::string& base_path,
-                                        const std::string& out_path) const {
+std::uint64_t AdaptiveState::export_delta(const std::string& out_path) {
+  const std::string& base_path = base_->base_path();
   const io::MappedSnapshot base = io::MappedSnapshot::open(base_path);
   const std::size_t section = io::find_model_section(base);
   const io::SectionRecord& record = base.section(section);

@@ -106,6 +106,10 @@ class PredictionWriter {
 
   [[nodiscard]] OutputFormat format() const noexcept { return format_; }
   [[nodiscard]] HeadMode head() const noexcept { return head_; }
+  /// Whether rows carry the latency column/field (Plain never does).
+  [[nodiscard]] bool writes_latency() const noexcept {
+    return with_latency_ && format_ != OutputFormat::Plain;
+  }
   [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
 
  private:

@@ -2,34 +2,32 @@
 #define HDC_SERVE_SERVER_HPP
 
 /// \file server.hpp
-/// \brief Micro-batching prediction server over a restored pipeline.
+/// \brief Micro-batching prediction loop over one blocking row stream.
 ///
 /// The serving shape the ROADMAP asks for: a replica cold-starts from one
-/// mmapped snapshot (`hdc::io::Pipeline::restore`), then streams feature
-/// rows through the `hdc::runtime` thread pool in micro-batches — rows are
-/// admitted until the batch is full *or* the configured flush interval has
-/// elapsed since the batch opened, then encoded and predicted batch-at-a-
-/// time via the BatchEncoder/BatchClassifier/BatchRegressor bridges and
-/// written out in admission order.
+/// mmapped snapshot (`hdc::io::Pipeline::restore`), then streams rows
+/// through a `Predictor` in micro-batches — rows are admitted until the
+/// batch is full *or* the configured flush interval has elapsed since the
+/// batch opened, then predicted batch-at-a-time and written out in
+/// admission order.  The predictor is in-process (`LocalPredictor`, built
+/// here from a pipeline) or a `hdc::cluster::ShardedServer`: the loop is
+/// the same.
 ///
 /// Predictions are bit-identical to calling `Pipeline::classify`/`regress`
-/// per row, for any batch size and any thread count (the batch engines'
-/// determinism contract); the serve-e2e CI suite diffs the CLI output
-/// against committed goldens to pin exactly that.
+/// per row, for any batch size, thread count or replica count; the
+/// serve-e2e and cluster-e2e CI suites diff the CLI output against
+/// committed goldens to pin exactly that.
 
 #include <chrono>
 #include <cstddef>
-#include <optional>
+#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "hdc/io/pipeline.hpp"
-#include "hdc/runtime/batch_classifier.hpp"
-#include "hdc/runtime/batch_encoder.hpp"
-#include "hdc/runtime/batch_regressor.hpp"
-#include "hdc/runtime/batch_text_encoder.hpp"
+#include "hdc/serve/local_predictor.hpp"
 #include "hdc/serve/prediction_writer.hpp"
+#include "hdc/serve/predictor.hpp"
 #include "hdc/serve/row_reader.hpp"
 
 namespace hdc::serve {
@@ -53,36 +51,36 @@ struct ServerOptions {
   std::size_t num_threads = 0;
 };
 
-/// A ready-to-serve prediction loop around one restored pipeline.
+/// A ready-to-serve prediction loop around one predictor.
 ///
-/// The pipeline (and everything the Server builds from it) may borrow a
-/// snapshot mapping: the Server must not outlive the `MappedSnapshot` it
-/// was restored from.  `predict()` and `run()` are not re-entrant on one
-/// Server, but distinct Servers may share one thread pool.
+/// A Server built from a pipeline may borrow a snapshot mapping: it must
+/// not outlive the `MappedSnapshot` the pipeline was restored from.
+/// `predict()` and `run()` are not re-entrant on one Server, but distinct
+/// Servers may share one thread pool.
 class Server {
  public:
+  /// Serves \p pipeline through an owned LocalPredictor over \p pool (or
+  /// over options.num_threads workers, created on the first batch).
   /// \throws std::invalid_argument if options.batch_size == 0.
   explicit Server(io::Pipeline pipeline, ServerOptions options = {},
                   runtime::ThreadPoolPtr pool = nullptr);
 
-  [[nodiscard]] const io::Pipeline& pipeline() const noexcept {
-    return pipeline_;
-  }
+  /// Serves through \p predictor (e.g. a cluster::ShardedServer), which
+  /// must outlive the Server; no thread pool is built.
+  /// \throws std::invalid_argument if options.batch_size == 0.
+  explicit Server(Predictor& predictor, ServerOptions options = {});
+
+  [[nodiscard]] Predictor& predictor() const noexcept { return *predictor_; }
   [[nodiscard]] const ServerOptions& options() const noexcept {
     return options_;
   }
 
-  /// One micro-batch through the thread pool: encode every row, predict,
-  /// return predictions in row order (classifier labels as doubles).
-  /// \throws std::invalid_argument on a row of the wrong arity;
-  /// std::logic_error on a text pipeline (use predict_text).
+  /// One micro-batch of numeric rows: predictions in row order (classifier
+  /// labels as doubles).  Text rows go through predictor().predict().
+  /// \throws std::invalid_argument on a row of the wrong arity or a text
+  /// pipeline.
   [[nodiscard]] std::vector<double> predict(
       std::span<const std::vector<double>> rows) const;
-
-  /// The text twin of predict(): one raw-text sample per element.
-  /// \throws std::logic_error on a numeric pipeline.
-  [[nodiscard]] std::vector<double> predict_text(
-      std::span<const std::string> rows) const;
 
   /// Serving-loop outcome.
   struct Stats {
@@ -98,17 +96,15 @@ class Server {
   /// kind (Confidence heads come from classifiers, Band heads from
   /// regressors).  \throws RowError on malformed input — every row that
   /// parsed before the bad one is predicted, written and flushed first;
-  /// std::invalid_argument if the reader's format/arity or the writer's
-  /// head disagrees with the pipeline.
+  /// PredictError when the predictor fails, after flushing every row
+  /// answered before; std::invalid_argument if the reader's format/arity or
+  /// the writer's head disagrees with the pipeline.
   Stats run(RowReader& reader, PredictionWriter& writer) const;
 
  private:
-  io::Pipeline pipeline_;
+  std::unique_ptr<LocalPredictor> owned_;
+  Predictor* predictor_;
   ServerOptions options_;
-  runtime::ThreadPoolPtr pool_;
-  /// Exactly one is engaged, per the pipeline's input mode.
-  std::optional<runtime::BatchEncoder> encoder_;
-  std::optional<runtime::BatchTextEncoder> text_encoder_;
 };
 
 }  // namespace hdc::serve

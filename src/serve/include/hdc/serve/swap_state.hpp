@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -32,22 +33,30 @@
 
 namespace hdc::serve {
 
-/// One immutable generation of the serving model: the snapshot mapping and
-/// the pipeline borrowing it, tagged with the generation counter and the
-/// path it was loaded from (SIGHUP re-reads that path).
+/// One immutable generation of the serving model: the pipeline (and the
+/// snapshot mapping it borrows, when this state owns one), tagged with the
+/// generation counter, the path it was loaded from (SIGHUP re-reads that
+/// path) and the last *full* snapshot it descends from — what delta reloads
+/// patch and what `!delta` diffs against.
 class ServingState {
  public:
+  /// \p base_path defaults to \p source_path (a full snapshot is its own
+  /// base).
   ServingState(io::LoadedPipeline loaded, std::uint64_t generation,
-               std::string source_path)
-      : loaded_(std::move(loaded)),
+               std::string source_path, std::string base_path = {})
+      : snapshot_(std::move(loaded.snapshot)),
+        pipeline_(std::move(loaded.pipeline)),
         generation_(generation),
-        source_path_(std::move(source_path)) {}
+        source_path_(std::move(source_path)),
+        base_path_(base_path.empty() ? source_path_ : std::move(base_path)) {}
+
+  /// Generation 0 of a pipeline whose mapping the caller keeps alive; no
+  /// file backs it, so reloading from its (empty) source fails.
+  explicit ServingState(io::Pipeline pipeline)
+      : pipeline_(std::move(pipeline)), generation_(0) {}
 
   [[nodiscard]] const io::Pipeline& pipeline() const noexcept {
-    return loaded_.pipeline;
-  }
-  [[nodiscard]] const io::MappedSnapshot& snapshot() const noexcept {
-    return loaded_.snapshot;
+    return pipeline_;
   }
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
@@ -55,11 +64,17 @@ class ServingState {
   [[nodiscard]] const std::string& source_path() const noexcept {
     return source_path_;
   }
+  [[nodiscard]] const std::string& base_path() const noexcept {
+    return base_path_;
+  }
 
  private:
-  io::LoadedPipeline loaded_;
+  /// Declared before the pipeline, which borrows it: destroyed after it.
+  std::optional<io::MappedSnapshot> snapshot_;
+  io::Pipeline pipeline_;
   std::uint64_t generation_;
   std::string source_path_;
+  std::string base_path_;
 };
 
 using ServingStatePtr = std::shared_ptr<const ServingState>;
@@ -70,9 +85,9 @@ using ServingStatePtr = std::shared_ptr<const ServingState>;
 /// reloaders behind a mutex that readers never touch.
 class SwapState {
  public:
-  /// Seeds generation 0 with the state a server starts from.
+  /// Starts serving \p initial; reloads count generations up from it.
   /// \throws std::invalid_argument if \p initial is null.
-  explicit SwapState(io::LoadedPipeline initial, std::string source_path);
+  explicit SwapState(ServingStatePtr initial);
 
   /// The currently active state (acquire; never null).
   [[nodiscard]] ServingStatePtr load() const noexcept;
@@ -83,7 +98,7 @@ class SwapState {
   /// the incumbent stays active and untouched.
   /// \throws io::SnapshotError on a shape mismatch.
   ServingStatePtr swap_to(io::LoadedPipeline replacement,
-                          std::string source_path);
+                          std::string source_path, std::string base_path);
 
   /// Generation of the active state.
   [[nodiscard]] std::uint64_t generation() const noexcept {
@@ -101,7 +116,7 @@ class SwapState {
   ServingStatePtr active_;
 #endif
   std::mutex swap_mutex_;  ///< Serializes swap_to() callers only.
-  std::uint64_t next_generation_ = 1;
+  std::uint64_t next_generation_;
 };
 
 }  // namespace hdc::serve

@@ -1,0 +1,170 @@
+#include "hdc/serve/local_predictor.hpp"
+
+#include <optional>
+#include <utility>
+
+#include "hdc/io/delta.hpp"
+#include "hdc/runtime/batch_classifier.hpp"
+#include "hdc/runtime/batch_regressor.hpp"
+#include "hdc/runtime/batch_text_encoder.hpp"
+
+namespace hdc::serve {
+
+/// Everything one model generation determines.  `state` is declared first:
+/// members are destroyed in reverse order, so the engines borrowing the
+/// mapping die before the bundle that may hold its last reference.
+struct LocalPredictor::Engines {
+  ServingStatePtr state;
+  /// Exactly one encoder and one model engine are engaged, per the
+  /// pipeline's input mode and kind.
+  std::optional<runtime::BatchEncoder> encoder;
+  std::optional<runtime::BatchTextEncoder> text_encoder;
+  std::optional<runtime::BatchClassifier> classifier;
+  std::optional<runtime::BatchRegressor> regressor;
+};
+
+LocalPredictor::LocalPredictor(io::LoadedPipeline loaded,
+                               std::string source_path,
+                               runtime::ThreadPoolPtr pool,
+                               std::size_t num_threads,
+                               io::MappingOptions mapping)
+    : swap_(std::make_shared<const ServingState>(std::move(loaded), 0,
+                                                 std::move(source_path))),
+      mapping_(mapping),
+      num_threads_(num_threads),
+      pool_(std::move(pool)) {}
+
+LocalPredictor::LocalPredictor(io::Pipeline pipeline,
+                               runtime::ThreadPoolPtr pool,
+                               std::size_t num_threads)
+    : swap_(std::make_shared<const ServingState>(std::move(pipeline))),
+      num_threads_(num_threads),
+      pool_(std::move(pool)) {}
+
+LocalPredictor::~LocalPredictor() = default;
+
+io::PipelineKind LocalPredictor::kind() const {
+  return swap_.load()->pipeline().kind();
+}
+
+io::PipelineInput LocalPredictor::input() const {
+  return swap_.load()->pipeline().input();
+}
+
+std::size_t LocalPredictor::num_features() const {
+  return swap_.load()->pipeline().num_features();
+}
+
+std::shared_ptr<const LocalPredictor::Engines> LocalPredictor::engines_for(
+    const ServingStatePtr& state) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (engines_ != nullptr && engines_->state == state) {
+    return engines_;
+  }
+  if (!pool_) {
+    pool_ = std::make_shared<runtime::ThreadPool>(num_threads_);
+  }
+  auto engines = std::make_shared<Engines>();
+  engines->state = state;
+  const io::Pipeline& pipeline = state->pipeline();
+  if (pipeline.input() == io::PipelineInput::Text) {
+    engines->text_encoder.emplace(pipeline.batch_text_encoder(pool_));
+  } else {
+    engines->encoder.emplace(pipeline.batch_encoder(pool_));
+  }
+  if (pipeline.kind() == io::PipelineKind::Classifier) {
+    engines->classifier.emplace(pipeline.batch_classifier(pool_));
+  } else {
+    engines->regressor.emplace(pipeline.batch_regressor(pool_));
+  }
+  engines_ = std::move(engines);
+  return engines_;
+}
+
+Predictions LocalPredictor::predict(const SampleBatch& batch, HeadMode head) {
+  // One load per batch: a reload takes effect at the next batch boundary,
+  // and this batch finishes on the generation it started with.
+  const ServingStatePtr state = swap_.load();
+  Predictions out;
+  out.generation = state->generation();
+  if (is_text(batch) !=
+      (state->pipeline().input() == io::PipelineInput::Text)) {
+    throw std::invalid_argument(
+        std::string("LocalPredictor: the pipeline takes ") +
+        io::to_string(state->pipeline().input()) +
+        " rows but the batch disagrees");
+  }
+  if (batch_size(batch) == 0) {
+    return out;
+  }
+  const std::shared_ptr<const Engines> engines = engines_for(state);
+  const runtime::VectorArena encoded =
+      is_text(batch)
+          ? engines->text_encoder->encode(
+                std::get<std::span<const std::string>>(batch))
+          : engines->encoder->encode(
+                std::get<std::span<const std::vector<double>>>(batch));
+  if (engines->classifier) {
+    if (head == HeadMode::None) {
+      const std::vector<std::size_t> labels =
+          engines->classifier->predict(encoded);
+      out.predictions.assign(labels.begin(), labels.end());
+      return out;
+    }
+    for (const Top2& top2 : engines->classifier->predict_top2(encoded)) {
+      out.predictions.push_back(static_cast<double>(top2.best.index));
+      out.confidences.push_back(margin_confidence(top2));
+    }
+    return out;
+  }
+  out.predictions = engines->regressor->predict(encoded);
+  if (head != HeadMode::None) {
+    out.bands = engines->regressor->predict_band(encoded);
+  }
+  return out;
+}
+
+AdaptiveStatePtr LocalPredictor::overlay() {
+  const ServingStatePtr active = swap_.load();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!adaptive_ || adaptive_->base_state() != active) {
+    adaptive_ = std::make_shared<AdaptiveState>(active);
+  }
+  return adaptive_;
+}
+
+AdaptOutcome LocalPredictor::adapt(const Sample& sample, double target) {
+  return overlay()->adapt(sample, target);
+}
+
+std::uint64_t LocalPredictor::export_delta(const std::string& out_path) {
+  return overlay()->export_delta(out_path);
+}
+
+std::shared_ptr<Predictor> LocalPredictor::adapted() { return overlay(); }
+
+std::uint64_t LocalPredictor::reload(const std::string& path) {
+  const ServingStatePtr incumbent = swap_.load();
+  const std::string resolved = path.empty() ? incumbent->source_path() : path;
+  // The delta check runs before the load so base tracking and loading agree
+  // on what the file was even if it changes on disk mid-reload (the loaded
+  // bytes are authoritative either way: validation rejects torn files).
+  const bool is_delta = io::snapshot_is_delta(resolved);
+  io::LoadedPipeline fresh = io::load_pipeline_or_delta(
+      resolved, incumbent->base_path(), io::SnapshotIntegrity::Checksum,
+      mapping_);
+  return swap_
+      .swap_to(std::move(fresh), resolved,
+               is_delta ? incumbent->base_path() : resolved)
+      ->generation();
+}
+
+std::uint64_t LocalPredictor::generation() const {
+  return swap_.generation();
+}
+
+std::string LocalPredictor::source() const {
+  return swap_.load()->source_path();
+}
+
+}  // namespace hdc::serve

@@ -1,213 +1,77 @@
 #include "hdc/serve/server.hpp"
 
-#include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
+
+#include "hdc/serve/micro_batcher.hpp"
 
 namespace hdc::serve {
 
 namespace {
 
-using clock = std::chrono::steady_clock;
-
-runtime::ThreadPoolPtr ensure_pool(runtime::ThreadPoolPtr pool,
-                                   std::size_t num_threads) {
-  if (pool) {
-    return pool;
+void check_batch_size(const ServerOptions& options) {
+  if (options.batch_size == 0) {
+    throw std::invalid_argument("Server: batch_size must be > 0");
   }
-  return std::make_shared<runtime::ThreadPool>(num_threads);
-}
-
-double microseconds_between(clock::time_point from, clock::time_point to) {
-  return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
 }  // namespace
 
 Server::Server(io::Pipeline pipeline, ServerOptions options,
                runtime::ThreadPoolPtr pool)
-    : pipeline_(std::move(pipeline)),
-      options_(options),
-      pool_(ensure_pool(std::move(pool), options.num_threads)) {
-  if (options_.batch_size == 0) {
-    throw std::invalid_argument("Server: batch_size must be > 0");
-  }
-  if (pipeline_.input() == io::PipelineInput::Text) {
-    text_encoder_.emplace(pipeline_.batch_text_encoder(pool_));
-  } else {
-    encoder_.emplace(pipeline_.batch_encoder(pool_));
-  }
+    : owned_(std::make_unique<LocalPredictor>(
+          std::move(pipeline), std::move(pool), options.num_threads)),
+      predictor_(owned_.get()),
+      options_(options) {
+  check_batch_size(options_);
+}
+
+Server::Server(Predictor& predictor, ServerOptions options)
+    : predictor_(&predictor), options_(options) {
+  check_batch_size(options_);
 }
 
 std::vector<double> Server::predict(
     std::span<const std::vector<double>> rows) const {
-  if (!encoder_) {
-    throw std::logic_error(
-        "Server::predict: text pipeline (use predict_text)");
-  }
-  if (rows.empty()) {
-    return {};
-  }
-  const runtime::VectorArena encoded = encoder_->encode(rows);
-  if (pipeline_.kind() == io::PipelineKind::Classifier) {
-    const std::vector<std::size_t> labels =
-        pipeline_.batch_classifier(pool_).predict(encoded);
-    return {labels.begin(), labels.end()};
-  }
-  return pipeline_.batch_regressor(pool_).predict(encoded);
-}
-
-std::vector<double> Server::predict_text(
-    std::span<const std::string> rows) const {
-  if (!text_encoder_) {
-    throw std::logic_error(
-        "Server::predict_text: numeric pipeline (use predict)");
-  }
-  if (rows.empty()) {
-    return {};
-  }
-  const runtime::VectorArena encoded = text_encoder_->encode(rows);
-  if (pipeline_.kind() == io::PipelineKind::Classifier) {
-    const std::vector<std::size_t> labels =
-        pipeline_.batch_classifier(pool_).predict(encoded);
-    return {labels.begin(), labels.end()};
-  }
-  return pipeline_.batch_regressor(pool_).predict(encoded);
+  return predictor_->predict(rows, HeadMode::None).predictions;
 }
 
 Server::Stats Server::run(RowReader& reader, PredictionWriter& writer) const {
-  const bool text = pipeline_.input() == io::PipelineInput::Text;
-  if (text != (reader.format() == RowFormat::Text)) {
-    throw std::invalid_argument(
-        std::string("Server::run: the pipeline takes ") +
-        io::to_string(pipeline_.input()) +
-        " rows but the reader's format disagrees");
-  }
-  if (!text && reader.num_features() != pipeline_.num_features()) {
-    throw std::invalid_argument(
-        "Server::run: reader arity " + std::to_string(reader.num_features()) +
-        " disagrees with the pipeline's " +
-        std::to_string(pipeline_.num_features()) + " features");
-  }
-  const bool classifies = pipeline_.kind() == io::PipelineKind::Classifier;
-  const HeadMode head = writer.head();
-  if (head == HeadMode::Confidence && !classifies) {
-    throw std::invalid_argument(
-        "Server::run: confidence heads come from classifiers; regressor "
-        "pipelines emit bands");
-  }
-  if (head == HeadMode::Band && classifies) {
-    throw std::invalid_argument(
-        "Server::run: band heads come from regressors; classifier "
-        "pipelines emit confidences");
-  }
-  // Per-kind engines constructed once per run, not per micro-batch.
-  std::optional<runtime::BatchClassifier> classifier;
-  std::optional<runtime::BatchRegressor> regressor;
-  if (classifies) {
-    classifier.emplace(pipeline_.batch_classifier(pool_));
-  } else {
-    regressor.emplace(pipeline_.batch_regressor(pool_));
-  }
-
-  Stats stats;
-  const clock::time_point start = clock::now();
-  // One of the two row buffers stays empty, per the input mode.
-  std::vector<std::vector<double>> rows;
-  std::vector<std::string> text_rows;
-  std::vector<clock::time_point> admitted;
-  admitted.reserve(options_.batch_size);
-  std::size_t next_row_index = 0;
-
-  const auto flush = [&] {
-    const std::size_t count = text ? text_rows.size() : rows.size();
-    if (count == 0) {
-      return;
-    }
-    const runtime::VectorArena encoded =
-        text ? text_encoder_->encode(text_rows) : encoder_->encode(rows);
-    if (classifies) {
-      if (head == HeadMode::Confidence) {
-        const std::vector<Top2> top2 = classifier->predict_top2(encoded);
-        for (std::size_t i = 0; i < top2.size(); ++i) {
-          writer.write_class(next_row_index + i,
-                             static_cast<std::size_t>(top2[i].best.index),
-                             margin_confidence(top2[i]),
-                             microseconds_between(admitted[i], clock::now()));
-        }
-      } else {
-        const std::vector<std::size_t> labels = classifier->predict(encoded);
-        for (std::size_t i = 0; i < labels.size(); ++i) {
-          writer.write_class(next_row_index + i, labels[i],
-                             microseconds_between(admitted[i], clock::now()));
-        }
-      }
-    } else {
-      const std::vector<double> predictions = regressor->predict(encoded);
-      if (head == HeadMode::Band) {
-        const std::vector<Band> bands = regressor->predict_band(encoded);
-        for (std::size_t i = 0; i < predictions.size(); ++i) {
-          writer.write_band(next_row_index + i, predictions[i], bands[i],
-                            microseconds_between(admitted[i], clock::now()));
-        }
-      } else {
-        for (std::size_t i = 0; i < predictions.size(); ++i) {
-          writer.write(next_row_index + i, predictions[i],
-                       microseconds_between(admitted[i], clock::now()));
-        }
-      }
-    }
-    writer.flush();
-    next_row_index += count;
-    stats.rows += count;
-    ++stats.batches;
-    rows.clear();
-    text_rows.clear();
-    admitted.clear();
-  };
-
-  std::vector<double> row;
-  std::string text_row;
+  MicroBatcher batcher(*predictor_, reader, writer, options_.batch_size);
+  const auto start = MicroBatcher::clock::now();
   try {
     while (true) {
       // Bounded-staleness guard: with a flush interval configured, pending
       // rows are flushed *before* a read that may block — either their
       // deadline has already passed, or the stream has nothing buffered
-      // and the next getline could stall unboundedly (the PR-5 latency
-      // bug: the timer was only ever evaluated after a new row arrived,
-      // so admitted rows waited as long as the input paused).
-      if (!admitted.empty() && options_.flush_interval.count() > 0) {
-        const bool deadline_passed =
-            clock::now() - admitted.front() >= options_.flush_interval;
-        if (deadline_passed || reader.may_block()) {
-          flush();
-        }
+      // and the next read could stall unboundedly.  Rows are read with
+      // blocking stream I/O, so this is the best a stream can do (NetServer
+      // turns the deadline into a poll timeout instead).
+      if (!batcher.empty() && options_.flush_interval.count() > 0 &&
+          (MicroBatcher::clock::now() - batcher.oldest() >=
+               options_.flush_interval ||
+           reader.may_block())) {
+        batcher.flush(*predictor_);
       }
-      if (text) {
-        if (!reader.next_text(text_row)) {
-          break;
-        }
-        text_rows.push_back(text_row);
-      } else {
-        if (!reader.next(row)) {
-          break;
-        }
-        rows.push_back(row);
+      if (!batcher.read()) {
+        break;
       }
-      admitted.push_back(clock::now());
-      if (admitted.size() >= options_.batch_size) {
-        flush();
+      if (batcher.full()) {
+        batcher.flush(*predictor_);
       }
     }
   } catch (const RowError&) {
     // Serve every row that parsed before the bad one, then surface it.
-    flush();
+    batcher.flush(*predictor_);
     throw;
   }
-  flush();
-  stats.seconds =
-      std::chrono::duration<double>(clock::now() - start).count();
+  batcher.flush(*predictor_);
+  Stats stats;
+  stats.rows = batcher.rows();
+  stats.batches = batcher.batches();
+  stats.seconds = std::chrono::duration<double>(MicroBatcher::clock::now() -
+                                                start)
+                      .count();
   return stats;
 }
 

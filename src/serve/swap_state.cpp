@@ -1,14 +1,18 @@
 #include "hdc/serve/swap_state.hpp"
 
+#include <stdexcept>
+
 namespace hdc::serve {
 
-SwapState::SwapState(io::LoadedPipeline initial, std::string source_path) {
-  auto state = std::make_shared<const ServingState>(
-      std::move(initial), /*generation=*/0, std::move(source_path));
+SwapState::SwapState(ServingStatePtr initial) {
+  if (initial == nullptr) {
+    throw std::invalid_argument("SwapState: initial state must not be null");
+  }
+  next_generation_ = initial->generation() + 1;
 #if defined(__cpp_lib_atomic_shared_ptr)
-  active_.store(std::move(state), std::memory_order_release);
+  active_.store(std::move(initial), std::memory_order_release);
 #else
-  active_ = std::move(state);
+  active_ = std::move(initial);
 #endif
 }
 
@@ -22,12 +26,14 @@ ServingStatePtr SwapState::load() const noexcept {
 }
 
 ServingStatePtr SwapState::swap_to(io::LoadedPipeline replacement,
-                                   std::string source_path) {
+                                   std::string source_path,
+                                   std::string base_path) {
   const std::lock_guard<std::mutex> lock(swap_mutex_);
   const ServingStatePtr incumbent = load();
   io::ensure_swappable(replacement.pipeline, incumbent->pipeline());
   auto fresh = std::make_shared<const ServingState>(
-      std::move(replacement), next_generation_++, std::move(source_path));
+      std::move(replacement), next_generation_++, std::move(source_path),
+      std::move(base_path));
 #if defined(__cpp_lib_atomic_shared_ptr)
   active_.store(fresh, std::memory_order_release);
 #else

@@ -1,7 +1,7 @@
 // Fault injection against the fork backend: SIGKILL a worker and the
 // coordinator must (a) surface a ClusterError naming the rank, the pid and
-// the signal, (b) drain every already-admitted row before rethrowing from
-// the stream front end with the input line number, and (c) tear down the
+// the signal, (b) drain every already-admitted row before the stdin serving
+// loop rethrows with the input line number, and (c) tear down the
 // remaining workers cleanly — no zombies, no hang, no torn predictions.
 
 #ifndef _WIN32
@@ -163,8 +163,8 @@ TEST(FaultInjectionTest, StreamDrainsAdmittedRowsAndReportsTheLine) {
     offset = csv.find('\n', offset) + 1;
   }
 
-  ShardedServer server(path, fork_options(2, ShardScheme::Rows));
-  const std::vector<pid_t> pids = server.worker_pids();
+  ShardedServer cluster(path, fork_options(2, ShardScheme::Rows));
+  const std::vector<pid_t> pids = cluster.worker_pids();
   ASSERT_EQ(pids.size(), 1u);
   TriggerBuf buf(csv, offset, [&] { kill_and_await(pids[0]); });
   std::istream in(&buf);
@@ -172,10 +172,13 @@ TEST(FaultInjectionTest, StreamDrainsAdmittedRowsAndReportsTheLine) {
   hdc::serve::RowReader reader(in, 3);
   hdc::serve::PredictionWriter writer(out,
                                       hdc::serve::OutputFormat::Plain);
+  hdc::serve::ServerOptions options;
+  options.batch_size = 4;
+  const hdc::serve::Server server(cluster, options);
   try {
-    (void)server.serve_stream(reader, writer, 4);
+    (void)server.run(reader, writer);
     FAIL() << "stream over a killed rank did not throw";
-  } catch (const ClusterError& e) {
+  } catch (const hdc::serve::PredictError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("cluster worker rank 1"), std::string::npos)
         << what;

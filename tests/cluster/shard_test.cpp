@@ -101,16 +101,31 @@ TEST(ProtocolTest, FieldCodecsRoundTrip) {
 
 TEST(ProtocolTest, PredictRequestLayout) {
   const double rows[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const std::string req = hdc::cluster::encode_predict_request(rows, 2, 3);
-  ASSERT_EQ(req.size(), 1 + 8 + 8 + 6 * 8);
-  EXPECT_EQ(static_cast<WorkerOp>(req[0]), WorkerOp::Predict);
-  EXPECT_EQ(hdc::cluster::get_u64(req, 1), 2u);
-  EXPECT_EQ(hdc::cluster::get_u64(req, 9), 3u);
-  EXPECT_EQ(hdc::cluster::get_f64(req, 17), 1.0);
-  EXPECT_EQ(hdc::cluster::get_f64(req, 17 + 5 * 8), 6.0);
+  const std::string req =
+      hdc::cluster::encode_predict2_request(rows, 2, 3, /*head=*/false);
+  ASSERT_EQ(req.size(), 1 + 1 + 8 + 8 + 6 * 8);
+  EXPECT_EQ(static_cast<WorkerOp>(req[0]), WorkerOp::Predict2);
+  EXPECT_EQ(req[1], 0);  // numeric, no head
+  EXPECT_EQ(hdc::cluster::get_u64(req, 2), 2u);
+  EXPECT_EQ(hdc::cluster::get_u64(req, 10), 3u);
+  EXPECT_EQ(hdc::cluster::get_f64(req, 18), 1.0);
+  EXPECT_EQ(hdc::cluster::get_f64(req, 18 + 5 * 8), 6.0);
   // Zero rows is a legal request (a rank can own an empty slice).
-  EXPECT_EQ(hdc::cluster::encode_predict_request(nullptr, 0, 3).size(),
-            std::size_t{17});
+  EXPECT_EQ(
+      hdc::cluster::encode_predict2_request(nullptr, 0, 3, false).size(),
+      std::size_t{18});
+
+  // Text rows: flags carry the mode (and the head), each row is
+  // length-prefixed.
+  const std::vector<std::string> text{"ab", "c"};
+  const std::string text_req =
+      hdc::cluster::encode_predict2_text_request(text, /*head=*/true);
+  ASSERT_EQ(text_req.size(), 1 + 1 + 8 + (8 + 2) + (8 + 1));
+  EXPECT_EQ(text_req[1], hdc::cluster::kPredictFlagText |
+                             hdc::cluster::kPredictFlagHead);
+  EXPECT_EQ(hdc::cluster::get_u64(text_req, 2), 2u);
+  EXPECT_EQ(hdc::cluster::get_u64(text_req, 10), 2u);
+  EXPECT_EQ(text_req.substr(18, 2), "ab");
 }
 
 TEST(WorkerTest, ConfigValidation) {
@@ -151,11 +166,11 @@ TEST(WorkerTest, DispatcherAnswersEveryOpcodeWithoutThrowing) {
   const std::string unknown = worker.handle(std::string(1, '\x7f'));
   EXPECT_EQ(static_cast<std::uint8_t>(unknown[0]), kWorkerErr);
   const std::string arity = worker.handle(
-      hdc::cluster::encode_predict_request(nullptr, 0, 99));
+      hdc::cluster::encode_predict2_request(nullptr, 0, 99, false));
   EXPECT_EQ(static_cast<std::uint8_t>(arity[0]), kWorkerErr);
   EXPECT_NE(std::string(arity.substr(1)).find("arity"), std::string::npos);
   std::string truncated =
-      hdc::cluster::encode_predict_request(nullptr, 0, 3);
+      hdc::cluster::encode_predict2_request(nullptr, 0, 3, false);
   hdc::cluster::put_u64(truncated, 5);  // Trailing garbage: size mismatch.
   EXPECT_EQ(static_cast<std::uint8_t>(worker.handle(truncated)[0]),
             kWorkerErr);
@@ -166,8 +181,8 @@ TEST(WorkerTest, DispatcherAnswersEveryOpcodeWithoutThrowing) {
   for (const auto& row : rows) {
     flat.insert(flat.end(), row.begin(), row.end());
   }
-  const std::string ok = worker.handle(
-      hdc::cluster::encode_predict_request(flat.data(), rows.size(), 3));
+  const std::string ok = worker.handle(hdc::cluster::encode_predict2_request(
+      flat.data(), rows.size(), 3, false));
   ASSERT_EQ(static_cast<std::uint8_t>(ok[0]), kWorkerOk);
   EXPECT_EQ(hdc::cluster::get_u64(ok, 1), 1u);  // generation
   EXPECT_EQ(hdc::cluster::get_u64(ok, 9), rows.size());
@@ -185,6 +200,72 @@ TEST(WorkerTest, DispatcherAnswersEveryOpcodeWithoutThrowing) {
       worker.handle(hdc::cluster::encode_shutdown_request());
   EXPECT_EQ(static_cast<std::uint8_t>(bye[0]), kWorkerOk);
   EXPECT_TRUE(worker.shutdown_requested());
+}
+
+TEST(WorkerTest, MalformedPredictAndAdaptFramesAreErrorResponses) {
+  const std::string numeric_path =
+      testutil::write_beijing_snapshot("worker_frames_num.hdcs", 2023);
+  const std::string text_path =
+      testutil::write_text_snapshot("worker_frames_text.hdcs", 2023);
+  Worker::Config cfg;
+  cfg.snapshot_path = numeric_path;
+  Worker numeric{cfg};
+  cfg.snapshot_path = text_path;
+  Worker text{cfg};
+  // Each frame must come back as a named error response — never a throw,
+  // and never a counted batch.
+  const auto expect_rejected = [](Worker& worker, const std::string& request,
+                                  const std::string& needle) {
+    std::string response;
+    ASSERT_NO_THROW(response = worker.handle(request));
+    ASSERT_FALSE(response.empty());
+    EXPECT_EQ(static_cast<std::uint8_t>(response[0]), kWorkerErr);
+    EXPECT_NE(response.find(needle), std::string::npos) << response;
+  };
+
+  const auto rows = testutil::beijing_rows(2);
+  std::vector<double> flat;
+  for (const auto& row : rows) {
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  std::string unknown_flags =
+      hdc::cluster::encode_predict2_request(flat.data(), 2, 3, false);
+  unknown_flags[1] = static_cast<char>(0x80);
+  expect_rejected(numeric, unknown_flags, "unknown request flags");
+  std::string adapt_flags =
+      hdc::cluster::encode_adapt_request(1.0, flat.data(), 3);
+  adapt_flags[1] = static_cast<char>(hdc::cluster::kPredictFlagHead);
+  expect_rejected(numeric, adapt_flags, "unknown request flags");
+
+  const std::vector<std::string> samples{"lo vo miri", "zu ka pelo tir"};
+  const std::string good =
+      hdc::cluster::encode_predict2_text_request(samples, false);
+  expect_rejected(text, good.substr(0, good.size() - 2),
+                  "truncated text row");
+  expect_rejected(text, good + "x", "trailing bytes after text rows");
+
+  // Text/numeric mode mismatch, both directions, for both ops.
+  expect_rejected(numeric, good, "request carries text rows");
+  expect_rejected(
+      text, hdc::cluster::encode_predict2_request(flat.data(), 2, 3, false),
+      "request carries numeric rows");
+  expect_rejected(numeric,
+                  hdc::cluster::encode_adapt_text_request(0.0, "lo vo miri"),
+                  "request carries text rows");
+  expect_rejected(text, hdc::cluster::encode_adapt_request(0.0, flat.data(), 3),
+                  "request carries numeric rows");
+
+  const std::string adapt =
+      hdc::cluster::encode_adapt_text_request(0.0, "lo vo miri");
+  expect_rejected(text, adapt.substr(0, adapt.size() - 1),
+                  "truncated text payload");
+
+  // The well-formed frames still answer, and nothing above counted.
+  EXPECT_EQ(static_cast<std::uint8_t>(text.handle(good)[0]), kWorkerOk);
+  EXPECT_EQ(static_cast<std::uint8_t>(text.handle(adapt)[0]), kWorkerOk);
+  const std::string stats = text.handle(hdc::cluster::encode_stats_request());
+  EXPECT_EQ(hdc::cluster::get_u64(stats, 17), samples.size());  // rows
+  EXPECT_EQ(hdc::cluster::get_u64(stats, 25), 1u);              // batches
 }
 
 TEST(WorkerTest, ReloadBumpsGenerationAndRejectsBadSnapshots) {
@@ -220,8 +301,8 @@ TEST(WorkerTest, ReloadBumpsGenerationAndRejectsBadSnapshots) {
     flat.insert(flat.end(), row.begin(), row.end());
   }
   EXPECT_EQ(static_cast<std::uint8_t>(
-                worker.handle(hdc::cluster::encode_predict_request(
-                    flat.data(), rows.size(), 3))[0]),
+                worker.handle(hdc::cluster::encode_predict2_request(
+                    flat.data(), rows.size(), 3, false))[0]),
             kWorkerOk);
 }
 
@@ -243,7 +324,8 @@ TEST(WorkerTest, EmptyClassSliceReportsTheSentinel) {
     flat.insert(flat.end(), row.begin(), row.end());
   }
   const std::string response = worker.handle(
-      hdc::cluster::encode_predict_request(flat.data(), rows.size(), 4));
+      hdc::cluster::encode_predict2_request(flat.data(), rows.size(), 4,
+                                            false));
   ASSERT_EQ(static_cast<std::uint8_t>(response[0]), kWorkerOk);
   ASSERT_EQ(response.size(), 17 + rows.size() * 16);
   for (std::size_t i = 0; i < rows.size(); ++i) {

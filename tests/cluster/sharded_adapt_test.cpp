@@ -26,6 +26,7 @@ using hdc::cluster::ShardedServer;
 using hdc::cluster::ShardScheme;
 using hdc::serve::AdaptiveState;
 using hdc::serve::AdaptOutcome;
+using hdc::serve::HeadMode;
 using hdc::serve::ServingState;
 namespace testutil = hdc::cluster::testutil;
 
@@ -82,7 +83,7 @@ TEST(ShardedAdaptTest, BroadcastFeedbackMatchesSingleProcessOverlay) {
 
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const auto& [target, row] = stream[i];
-      const AdaptOutcome got = server.adapt(target, row);
+      const AdaptOutcome got = server.adapt(row, target);
       const AdaptOutcome want = local.adapt(row, target);
       ASSERT_EQ(got.predicted, want.predicted) << "sample " << i;
       ASSERT_EQ(got.updated, want.updated) << "sample " << i;
@@ -103,8 +104,8 @@ TEST(ShardedAdaptTest, BroadcastFeedbackMatchesSingleProcessOverlay) {
 }
 
 TEST(ShardedAdaptTest, TextFeedbackMatchesSingleProcessOverlay) {
-  // The raw-text twin of the parity test above: adapt_text broadcasts one
-  // raw sample, every rank encodes it with the warmed text encoder, and
+  // Raw text through the parity test above: adapt() broadcasts one raw
+  // sample, every rank encodes it with the warmed text encoder, and
   // the cluster must stay bit-identical to a single-process AdaptiveState
   // fed the same stream — outcomes, then head-carrying predictions.
   const std::string path =
@@ -133,8 +134,8 @@ TEST(ShardedAdaptTest, TextFeedbackMatchesSingleProcessOverlay) {
 
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const auto& [target, row] = stream[i];
-      const AdaptOutcome got = server.adapt_text(target, row);
-      const AdaptOutcome want = local.adapt_text(row, target);
+      const AdaptOutcome got = server.adapt(row, target);
+      const AdaptOutcome want = local.adapt(row, target);
       ASSERT_EQ(got.predicted, want.predicted) << "sample " << i;
       ASSERT_EQ(got.updated, want.updated) << "sample " << i;
       ASSERT_EQ(got.updates, want.updates) << "sample " << i;
@@ -144,15 +145,14 @@ TEST(ShardedAdaptTest, TextFeedbackMatchesSingleProcessOverlay) {
 
     // Adapted serving parity for both the plain and the head-carrying
     // batch planes.
-    const auto batch = server.predict_text(rows);
-    const auto heads = server.predict_text_head(rows);
+    const auto batch = server.predict(rows, HeadMode::None);
+    const auto heads = server.predict(rows, HeadMode::Confidence);
+    const auto local_heads = local.predict(rows, HeadMode::Confidence);
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(batch.predictions[i], local.predict_text(rows[i]))
+      EXPECT_EQ(batch.predictions[i], local.predict(rows[i])) << "row " << i;
+      EXPECT_EQ(heads.predictions[i], local_heads.predictions[i])
           << "row " << i;
-      const hdc::Top2 top = local.predict_top2_text(rows[i]);
-      EXPECT_EQ(heads.values[i], static_cast<double>(top.best.index))
-          << "row " << i;
-      EXPECT_EQ(heads.confidences[i], hdc::margin_confidence(top))
+      EXPECT_EQ(heads.confidences[i], local_heads.confidences[i])
           << "row " << i;
     }
   }
@@ -167,7 +167,7 @@ TEST(ShardedAdaptTest, ExportedDeltaIsByteIdenticalAcrossProcessCounts) {
   ShardedServer server(path, fork_pair(ShardScheme::Rows));
   AdaptiveState local = make_local_overlay(path);
   for (const auto& [target, row] : stream) {
-    (void)server.adapt(target, row);
+    (void)server.adapt(row, target);
     (void)local.adapt(row, target);
   }
 
@@ -176,7 +176,7 @@ TEST(ShardedAdaptTest, ExportedDeltaIsByteIdenticalAcrossProcessCounts) {
   const std::string cluster_delta = testutil::temp_file("cluster.delta");
   const std::string local_delta = testutil::temp_file("local.delta");
   const std::uint64_t exported = server.export_delta(cluster_delta);
-  EXPECT_EQ(exported, local.export_delta(path, local_delta));
+  EXPECT_EQ(exported, local.export_delta(local_delta));
   EXPECT_EQ(read_file(cluster_delta), read_file(local_delta));
   EXPECT_EQ(server.base_path(), path);
 
@@ -197,7 +197,7 @@ TEST(ShardedAdaptTest, DeltaReloadSwapsEveryRankToTheAdaptedModel) {
 
   ShardedServer server(path, fork_pair(ShardScheme::Classes));
   for (const auto& [target, row] : stream) {
-    (void)server.adapt(target, row);
+    (void)server.adapt(row, target);
   }
   const std::string delta = testutil::temp_file("reload.delta");
   ASSERT_GT(server.export_delta(delta), 0U);
@@ -230,11 +230,11 @@ TEST(ShardedAdaptTest, RejectedFeedbackLeavesTheClusterServing) {
 
   ShardedServer server(path, fork_pair(ShardScheme::Rows));
   // Arity gate fires locally, before any broadcast.
-  EXPECT_THROW((void)server.adapt(0.0, std::vector<double>{1.0, 2.0}),
+  EXPECT_THROW((void)server.adapt(std::vector<double>{1.0, 2.0}, 0.0),
                std::invalid_argument);
   // A non-integral label is rejected rank-side; the error surfaces and no
   // overlay row appears anywhere.
-  EXPECT_THROW((void)server.adapt(1.5, rows[0]), std::exception);
+  EXPECT_THROW((void)server.adapt(rows[0], 1.5), std::exception);
   const std::string delta = testutil::temp_file("reject.delta");
   EXPECT_THROW((void)server.export_delta(delta), std::runtime_error);
 

@@ -25,6 +25,7 @@ using hdc::cluster::ClusterOptions;
 using hdc::cluster::CommBackend;
 using hdc::cluster::ShardedServer;
 using hdc::cluster::ShardScheme;
+using hdc::serve::HeadMode;
 namespace testutil = hdc::cluster::testutil;
 
 constexpr std::size_t kReplicaAxis[] = {1, 2, 3, 7};
@@ -85,7 +86,7 @@ void run_matrix() {
             for (std::size_t i = 0; i < shape.rows.size(); i += batch) {
               const std::size_t n =
                   std::min(batch, shape.rows.size() - i);
-              const ShardedServer::BatchResult result = server.predict(
+              const hdc::serve::Predictions result = server.predict(
                   std::span<const std::vector<double>>(shape.rows)
                       .subspan(i, n));
               EXPECT_EQ(result.generation, 1u) << where;
@@ -162,7 +163,7 @@ TEST(ShardedEquivalenceTest, StatsCountRowsPerScheme) {
       options.backend = backend;
       ShardedServer server(path, options);
       (void)server.predict(rows);
-      const auto stats = server.stats();
+      const auto stats = server.rank_stats();
       ASSERT_EQ(stats.size(), 3u);
       std::uint64_t total = 0;
       for (std::size_t rank = 0; rank < stats.size(); ++rank) {
@@ -182,7 +183,7 @@ TEST(ShardedEquivalenceTest, StatsCountRowsPerScheme) {
       ShardedServer server(path, options);
       (void)server.predict(rows);
       // Class sharding sends every row to every rank.
-      for (const auto& s : server.stats()) {
+      for (const auto& s : server.rank_stats()) {
         EXPECT_EQ(s.rows, rows.size());
       }
     }
@@ -207,7 +208,7 @@ TEST(ShardedEquivalenceTest, ReloadSwapsEveryRankBitIdentically) {
       EXPECT_EQ(server.predict(rows).predictions, golden_a);
       EXPECT_EQ(server.reload(b), 2u);
       EXPECT_EQ(server.generation(), 2u);
-      EXPECT_EQ(server.source_path(), b);
+      EXPECT_EQ(server.source(), b);
       EXPECT_EQ(server.predict(rows).predictions, golden_b);
 
       // A rejected reload must leave every rank on the incumbent.
@@ -262,8 +263,9 @@ TEST(ShardedEquivalenceTest, TextMatrixMatchesOracle) {
           got.reserve(rows.size());
           for (std::size_t i = 0; i < rows.size(); i += batch) {
             const std::size_t n = std::min(batch, rows.size() - i);
-            const auto result = server.predict_text(
-                std::span<const std::string>(rows).subspan(i, n));
+            const auto result =
+                server.predict(std::span<const std::string>(rows).subspan(i, n),
+                               HeadMode::None);
             got.insert(got.end(), result.predictions.begin(),
                        result.predictions.end());
           }
@@ -302,14 +304,14 @@ TEST(ShardedEquivalenceTest, ClassifierHeadsMatchSingleProcess) {
       options.backend = backend;
       {
         ShardedServer server(text_path, options);
-        const auto heads = server.predict_text_head(text_rows);
-        ASSERT_EQ(heads.values.size(), text_rows.size()) << where;
+        const auto heads = server.predict(text_rows, HeadMode::Confidence);
+        ASSERT_EQ(heads.predictions.size(), text_rows.size()) << where;
         ASSERT_EQ(heads.confidences.size(), text_rows.size()) << where;
         EXPECT_TRUE(heads.bands.empty()) << where;
         for (std::size_t i = 0; i < text_rows.size(); ++i) {
           const hdc::Top2 top = text_oracle.classifier().predict_top2(
               text_oracle.encode_text(text_rows[i]));
-          ASSERT_EQ(heads.values[i],
+          ASSERT_EQ(heads.predictions[i],
                     static_cast<double>(top.best.index))
               << where << " row " << i;
           ASSERT_EQ(heads.confidences[i], hdc::margin_confidence(top))
@@ -318,12 +320,12 @@ TEST(ShardedEquivalenceTest, ClassifierHeadsMatchSingleProcess) {
       }
       {
         ShardedServer server(num_path, options);
-        const auto heads = server.predict_head(num_rows);
-        ASSERT_EQ(heads.values.size(), num_rows.size()) << where;
+        const auto heads = server.predict(num_rows, HeadMode::Confidence);
+        ASSERT_EQ(heads.predictions.size(), num_rows.size()) << where;
         for (std::size_t i = 0; i < num_rows.size(); ++i) {
           const hdc::Top2 top = num_oracle.classifier().predict_top2(
               num_oracle.encode(num_rows[i]));
-          ASSERT_EQ(heads.values[i],
+          ASSERT_EQ(heads.predictions[i],
                     static_cast<double>(top.best.index))
               << where << " row " << i;
           ASSERT_EQ(heads.confidences[i], hdc::margin_confidence(top))
@@ -356,14 +358,14 @@ TEST(ShardedEquivalenceTest, RegressorBandsMatchSingleProcess) {
         options.scheme = scheme;
         options.backend = backend;
         ShardedServer server(path, options);
-        const auto heads = server.predict_head(rows);
-        ASSERT_EQ(heads.values.size(), rows.size()) << where;
+        const auto heads = server.predict(rows, HeadMode::Band);
+        ASSERT_EQ(heads.predictions.size(), rows.size()) << where;
         ASSERT_EQ(heads.bands.size(), rows.size()) << where;
         EXPECT_TRUE(heads.confidences.empty()) << where;
         for (std::size_t i = 0; i < rows.size(); ++i) {
           const hdc::Hypervector encoded = oracle.encode(rows[i]);
           const hdc::Band band = oracle.regressor().predict_band(encoded);
-          ASSERT_EQ(heads.values[i], oracle.regressor().predict(encoded))
+          ASSERT_EQ(heads.predictions[i], oracle.regressor().predict(encoded))
               << where << " row " << i;
           ASSERT_EQ(heads.bands[i].p10, band.p10) << where << " row " << i;
           ASSERT_EQ(heads.bands[i].p50, band.p50) << where << " row " << i;
@@ -386,15 +388,15 @@ TEST(ShardedEquivalenceTest, InputModeIsValidatedCoordinatorSide) {
   const std::vector<std::vector<double>> numeric = {{1.0, 2.0, 3.0}};
   const std::vector<std::string> text = {"abc"};
   EXPECT_THROW((void)text_server.predict(numeric), std::invalid_argument);
-  EXPECT_THROW((void)num_server.predict_text(text), std::invalid_argument);
-  EXPECT_THROW((void)text_server.predict_head(numeric),
+  EXPECT_THROW((void)num_server.predict(text, HeadMode::None),
                std::invalid_argument);
-  EXPECT_THROW((void)num_server.predict_text_head(text),
+  EXPECT_THROW((void)text_server.predict(numeric, HeadMode::Confidence),
                std::invalid_argument);
-  EXPECT_THROW((void)text_server.adapt(0.0, numeric[0]),
+  EXPECT_THROW((void)num_server.predict(text, HeadMode::Band),
                std::invalid_argument);
-  EXPECT_THROW((void)num_server.adapt_text(0.0, "abc"),
+  EXPECT_THROW((void)text_server.adapt(numeric[0], 0.0),
                std::invalid_argument);
+  EXPECT_THROW((void)num_server.adapt("abc", 0.0), std::invalid_argument);
 }
 
 }  // namespace

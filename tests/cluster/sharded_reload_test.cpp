@@ -28,7 +28,6 @@ namespace {
 
 using hdc::cluster::ClusterOptions;
 using hdc::cluster::CommBackend;
-using hdc::cluster::RankStats;
 using hdc::cluster::ShardedServer;
 using hdc::cluster::ShardScheme;
 using hdc::serve::NetServer;
@@ -56,7 +55,7 @@ TEST(ShardedReloadTest, InterleavedReloadsKeepEveryBatchOnOneGeneration) {
   for (const ShardScheme scheme :
        {ShardScheme::Rows, ShardScheme::Classes}) {
     ShardedServer server(a, fork_pair(scheme));
-    ShardedServer::BatchResult batch = server.predict(rows);
+    hdc::serve::Predictions batch = server.predict(rows);
     EXPECT_EQ(batch.generation, 1u);
     EXPECT_EQ(batch.predictions, golden_a);
 
@@ -92,7 +91,7 @@ TEST(ShardedReloadTest, ConcurrentPredictAndReloadNeverTearsABatch) {
   for (auto& observed : per_thread) {
     predictors.emplace_back([&server, &rows, &observed] {
       for (int i = 0; i < 25; ++i) {
-        ShardedServer::BatchResult batch = server.predict(rows);
+        hdc::serve::Predictions batch = server.predict(rows);
         observed.push_back(
             {batch.generation, std::move(batch.predictions)});
       }
@@ -222,26 +221,7 @@ TEST(ShardedReloadTest, SocketFrontEndHotSwapsTheWholeCluster) {
   NetServerOptions options;
   options.port = 0;
   options.batch_size = 4;
-  options.cluster.predict =
-      [&sharded](std::span<const std::vector<double>> batch) {
-        return sharded.predict(batch).predictions;
-      };
-  options.cluster.reload = [&sharded](const std::string& snapshot) {
-    return sharded.reload(snapshot);
-  };
-  options.cluster.generation = [&sharded] { return sharded.generation(); };
-  options.cluster.source = [&sharded] { return sharded.source_path(); };
-  options.cluster.stats_suffix = [&sharded] {
-    std::string out;
-    for (const RankStats& rank : sharded.stats()) {
-      out += " rank" + std::to_string(rank.rank) +
-             "=rows:" + std::to_string(rank.rows) +
-             ",batches:" + std::to_string(rank.batches) +
-             ",gen:" + std::to_string(rank.generation);
-    }
-    return out;
-  };
-  NetServer server(hdc::io::load_pipeline(a), a, std::move(options));
+  NetServer server(sharded, options);
   std::thread runner([&server] { server.run(); });
 
   {

@@ -82,7 +82,7 @@ TEST(AdaptiveStateTest, ValidatesConstructionAndFeedback) {
 
   const std::string path = write_classifier("validate.hdcs");
   AdaptiveState state(pin(path));
-  EXPECT_TRUE(state.classifies());
+  EXPECT_EQ(state.kind(), hdc::io::PipelineKind::Classifier);
   const auto row = classifier_row(0);
   // Non-integral, negative, out-of-range and non-finite targets must all
   // fail before any overlay row is created.
@@ -145,7 +145,7 @@ TEST(AdaptiveStateTest, ExportedDeltaRestoresTheAdaptedModelExactly) {
   adapt_until_touched(state, 3);
 
   const std::string delta_path = temp_file("export.delta.hdcs");
-  const std::size_t rows = state.export_delta(path, delta_path);
+  const std::size_t rows = state.export_delta(delta_path);
   EXPECT_EQ(rows, state.overlay_rows());
   ASSERT_TRUE(hdc::io::snapshot_is_delta(delta_path));
 
@@ -161,8 +161,7 @@ TEST(AdaptiveStateTest, ExportedDeltaRestoresTheAdaptedModelExactly) {
 
   // With nothing adapted there is no delta to export.
   state.reset();
-  EXPECT_THROW((void)state.export_delta(path, delta_path),
-               std::runtime_error);
+  EXPECT_THROW((void)state.export_delta(delta_path), std::runtime_error);
   std::filesystem::remove(path);
   std::filesystem::remove(delta_path);
 }
@@ -171,7 +170,7 @@ TEST(AdaptiveStateTest, RegressorFeedbackAdaptsAndExports) {
   const std::string path = write_beijing("regressor.hdcs");
   const ServingStatePtr base = pin(path);
   AdaptiveState state(base);
-  EXPECT_FALSE(state.classifies());
+  EXPECT_EQ(state.kind(), hdc::io::PipelineKind::Regressor);
 
   const auto probe = [](std::size_t i) {
     return std::vector<double>{static_cast<double>(i % 5),
@@ -191,7 +190,7 @@ TEST(AdaptiveStateTest, RegressorFeedbackAdaptsAndExports) {
   EXPECT_EQ(state.overlay_rows(), 1U);
 
   const std::string delta_path = temp_file("regressor.delta.hdcs");
-  EXPECT_EQ(state.export_delta(path, delta_path), 1U);
+  EXPECT_EQ(state.export_delta(delta_path), 1U);
   const auto patched = hdc::io::load_pipeline_or_delta(delta_path, path);
   for (std::size_t i = 0; i < 40; ++i) {
     EXPECT_DOUBLE_EQ(patched.pipeline.regress(probe(i)),
@@ -205,12 +204,13 @@ TEST(AdaptiveStateTest, RegressorFeedbackAdaptsAndExports) {
 TEST(AdaptiveStateTest, ExportAgainstTheWrongBaseIsRejected) {
   const std::string path = write_classifier("wrongbase.hdcs");
   const std::string other = write_beijing("otherbase.hdcs");
-  AdaptiveState state(pin(path));
+  // A generation whose tracked base is the beijing snapshot: its model
+  // shape disagrees with the overlay's.
+  AdaptiveState state(std::make_shared<const ServingState>(
+      hdc::io::load_pipeline(path), 0, path, other));
   adapt_until_touched(state, 3);
   const std::string delta_path = temp_file("wrongbase.delta.hdcs");
-  // The beijing snapshot's model shape disagrees with the overlay's.
-  EXPECT_THROW((void)state.export_delta(other, delta_path),
-               hdc::io::SnapshotError);
+  EXPECT_THROW((void)state.export_delta(delta_path), hdc::io::SnapshotError);
   std::filesystem::remove(path);
   std::filesystem::remove(other);
 }

@@ -2,8 +2,9 @@
 // sequential oracle, the zero-downtime hot-swap protocol (every prediction
 // a client ever sees is bit-identical to one of the two generations —
 // never torn, never dropped), reload rejection leaving the incumbent
-// serving, per-connection error isolation, the SIGHUP-style async reload,
-// unix-domain sockets, control commands, and the poll-deadline flush bound.
+// serving, per-connection error isolation (malformed and over-long lines),
+// the SIGHUP-style async reload, unix-domain sockets, control commands, and
+// the microsecond poll-deadline flush bound.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,7 @@ namespace {
 using hdc::io::MappedSnapshot;
 using hdc::io::Pipeline;
 using hdc::io::SnapshotWriter;
+using hdc::serve::LocalPredictor;
 using hdc::serve::NetServer;
 using hdc::serve::NetServerOptions;
 using hdc::serve::OutputFormat;
@@ -100,14 +102,18 @@ std::vector<std::string> oracle_lines(
   return lines;
 }
 
-/// NetServer + its run() thread with exception-safe teardown.
+/// A LocalPredictor over \p snapshot_path behind a NetServer, plus its
+/// run() thread with exception-safe teardown.
 struct RunningServer {
+  LocalPredictor predictor;
   NetServer server;
   std::thread thread;
 
-  RunningServer(const std::string& snapshot_path, NetServerOptions options)
-      : server(hdc::io::load_pipeline(snapshot_path), snapshot_path,
-               std::move(options)),
+  RunningServer(const std::string& snapshot_path, NetServerOptions options,
+                std::size_t num_threads = 0)
+      : predictor(hdc::io::load_pipeline(snapshot_path), snapshot_path,
+                  nullptr, num_threads),
+        server(predictor, std::move(options)),
         thread([this] { server.run(); }) {}
   ~RunningServer() {
     server.stop();
@@ -157,6 +163,21 @@ class Client {
   }
 
   void shutdown_write() const { ::shutdown(fd_, SHUT_WR); }
+
+  /// Sends as much of \p text as the peer takes before it stops reading
+  /// or closes; returns the bytes sent.
+  std::size_t send_best_effort(const std::string& text) const {
+    std::size_t sent = 0;
+    while (sent < text.size()) {
+      const ssize_t n =
+          ::send(fd_, text.data() + sent, text.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) {
+        break;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+    return sent;
+  }
 
   /// Next '\n'-terminated line, or nullopt on clean EOF.  A receive
   /// timeout (server stalled) fails the calling test.
@@ -286,7 +307,7 @@ TEST(NetServerTest, HotSwapYieldsOnlyWholeGenerationPredictions) {
   for (std::thread& thread : clients) {
     thread.join();
   }
-  EXPECT_EQ(running.server.generation(), 1U);
+  EXPECT_EQ(running.predictor.generation(), 1U);
 
   for (std::size_t c = 0; c < kClients; ++c) {
     SCOPED_TRACE("client " + std::to_string(c));
@@ -345,7 +366,7 @@ TEST(NetServerTest, RejectedReloadLeavesIncumbentServing) {
   EXPECT_EQ(reply->rfind("!error reload rejected:", 0), 0U) << *reply;
 
   // Same connection, same generation, still bit-exact.
-  EXPECT_EQ(running.server.generation(), 0U);
+  EXPECT_EQ(running.predictor.generation(), 0U);
   EXPECT_EQ(running.server.stats().rejected_reloads, 2U);
   client.send(as_csv(rows));
   client.shutdown_write();
@@ -375,11 +396,11 @@ TEST(NetServerTest, AsyncReloadNotifyReloadsTheServingPath) {
   ASSERT_EQ(::write(running.server.reload_notify_fd(), &byte, 1), 1);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (running.server.generation() == 0 &&
+  while (running.predictor.generation() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ASSERT_EQ(running.server.generation(), 1U) << "async reload never landed";
+  ASSERT_EQ(running.predictor.generation(), 1U) << "async reload never landed";
 
   Client client(running.server.port());
   client.send(as_csv(rows));
@@ -422,6 +443,42 @@ TEST(NetServerTest, MalformedRowClosesOnlyThatConnection) {
   good.shutdown_write();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     line = good.read_line();
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(*line, expected[i]) << "row " << i;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(NetServerTest, OverlongLineIsRejectedAndClosesOnlyThatConnection) {
+  // A peer that never sends a newline must not grow the server's input
+  // buffer without bound: past NetServer::kMaxLineBytes the line is
+  // rejected by name and only that connection closes.
+  const std::string path = write_beijing("overlong.hdcs", 2023);
+  const auto rows = beijing_rows(2);
+  const auto expected = oracle_lines(path, rows);
+  RunningServer running(path, NetServerOptions{});
+
+  Client flood(running.server.port());
+  const std::string junk(std::size_t{8} << 20, '7');  // 8 MiB, no newline
+  EXPECT_GT(flood.send_best_effort(as_csv(rows) + junk),
+            NetServer::kMaxLineBytes);
+  // Rows admitted before the flood are answered, then the named error.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto line = flood.read_line();
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(*line, expected[i]) << "row " << i;
+  }
+  const auto error = flood.read_line();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->rfind("!error line too long", 0), 0U) << *error;
+  EXPECT_FALSE(flood.read_line().has_value());  // closed
+
+  // The server keeps answering everyone else.
+  Client good(running.server.port());
+  good.send(as_csv(rows));
+  good.shutdown_write();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto line = good.read_line();
     ASSERT_TRUE(line.has_value());
     EXPECT_EQ(*line, expected[i]) << "row " << i;
   }
@@ -493,6 +550,35 @@ TEST(NetServerTest, FlushDeadlineBoundsPartialBatchLatency) {
   std::filesystem::remove(path);
 }
 
+TEST(NetServerTest, FlushDeadlineKeepsMicrosecondPrecision) {
+  // flush_interval is in microseconds, and so is the poll timeout: 200 us
+  // must not round up to a whole millisecond for every isolated row.
+  const std::string path = write_beijing("precision.hdcs", 2023);
+  NetServerOptions options;
+  options.flush_interval = std::chrono::microseconds(200);
+  options.output = OutputFormat::Csv;
+  options.with_latency = true;
+  RunningServer running(path, options);
+
+  Client client(running.server.port());
+  std::vector<double> latencies;
+  for (const auto& row : beijing_rows(50)) {
+    // One row at a time, well short of a full batch: only the deadline
+    // flushes it.
+    client.send(as_csv({row}));
+    auto line = client.read_line();
+    if (line && *line == "row,prediction,latency_us") {
+      line = client.read_line();
+    }
+    ASSERT_TRUE(line.has_value());
+    latencies.push_back(std::stod(line->substr(line->rfind(',') + 1)));
+  }
+  std::nth_element(latencies.begin(), latencies.begin() + 25,
+                   latencies.end());
+  EXPECT_LT(latencies[25], 1000.0) << "median latency_us";
+  std::filesystem::remove(path);
+}
+
 TEST(NetServerTest, WorkerPoolFailureAnswersErrorInsteadOfClosing) {
   // The worker pool is created lazily on the first data batch; an
   // impossible thread count must therefore surface on the wire as an
@@ -502,9 +588,8 @@ TEST(NetServerTest, WorkerPoolFailureAnswersErrorInsteadOfClosing) {
   const auto rows = beijing_rows(2);
   const auto expected = oracle_lines(path, rows);
 
-  NetServerOptions options;
-  options.num_threads = 1'000'000;  // > ThreadPool::max_threads()
-  RunningServer running(path, options);
+  // 1'000'000 threads > ThreadPool::max_threads().
+  RunningServer running(path, NetServerOptions{}, 1'000'000);
 
   Client doomed(running.server.port());
   doomed.send(as_csv(rows));
@@ -864,28 +949,23 @@ TEST(NetServerTest, BandHeadStreamsQuantilesWithEveryPrediction) {
 TEST(NetServerTest, WireFormatsMustMatchThePipeline) {
   const std::string text_path = write_text("gate_text.hdcs");
   const std::string beijing_path = write_beijing("gate_beijing.hdcs", 2023);
+  LocalPredictor text(hdc::io::load_pipeline(text_path), text_path);
+  LocalPredictor beijing(hdc::io::load_pipeline(beijing_path), beijing_path);
 
   // Input mode is checked at construction, both directions.
-  EXPECT_THROW(NetServer(hdc::io::load_pipeline(text_path), text_path,
-                         NetServerOptions{}),
-               std::invalid_argument);
+  EXPECT_THROW(NetServer(text, NetServerOptions{}), std::invalid_argument);
   NetServerOptions text_options;
   text_options.input = hdc::serve::RowFormat::Text;
-  EXPECT_THROW(NetServer(hdc::io::load_pipeline(beijing_path), beijing_path,
-                         text_options),
-               std::invalid_argument);
+  EXPECT_THROW(NetServer(beijing, text_options), std::invalid_argument);
 
   // Head kind is checked against the pipeline kind.
   NetServerOptions band_on_classifier;
   band_on_classifier.input = hdc::serve::RowFormat::Text;
   band_on_classifier.head = hdc::serve::HeadMode::Band;
-  EXPECT_THROW(NetServer(hdc::io::load_pipeline(text_path), text_path,
-                         band_on_classifier),
-               std::invalid_argument);
+  EXPECT_THROW(NetServer(text, band_on_classifier), std::invalid_argument);
   NetServerOptions confidence_on_regressor;
   confidence_on_regressor.head = hdc::serve::HeadMode::Confidence;
-  EXPECT_THROW(NetServer(hdc::io::load_pipeline(beijing_path), beijing_path,
-                         confidence_on_regressor),
+  EXPECT_THROW(NetServer(beijing, confidence_on_regressor),
                std::invalid_argument);
   std::filesystem::remove(text_path);
   std::filesystem::remove(beijing_path);
@@ -893,20 +973,16 @@ TEST(NetServerTest, WireFormatsMustMatchThePipeline) {
 
 TEST(NetServerTest, ConstructorValidatesOptions) {
   const std::string path = write_beijing("ctor.hdcs", 2023);
+  LocalPredictor predictor(hdc::io::load_pipeline(path), path);
   NetServerOptions no_listener;
   no_listener.host.clear();
-  EXPECT_THROW(
-      NetServer(hdc::io::load_pipeline(path), path, no_listener),
-      std::invalid_argument);
+  EXPECT_THROW(NetServer(predictor, no_listener), std::invalid_argument);
   NetServerOptions zero_batch;
   zero_batch.batch_size = 0;
-  EXPECT_THROW(
-      NetServer(hdc::io::load_pipeline(path), path, zero_batch),
-      std::invalid_argument);
+  EXPECT_THROW(NetServer(predictor, zero_batch), std::invalid_argument);
   NetServerOptions bad_host;
   bad_host.host = "not-an-address";
-  EXPECT_THROW(NetServer(hdc::io::load_pipeline(path), path, bad_host),
-               std::runtime_error);
+  EXPECT_THROW(NetServer(predictor, bad_host), std::runtime_error);
   std::filesystem::remove(path);
 }
 

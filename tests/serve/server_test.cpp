@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "hdc/cluster/cluster.hpp"
 #include "hdc/io/fixture_models.hpp"
 #include "hdc/io/io.hpp"
 #include "hdc/serve/serve.hpp"
@@ -26,8 +27,10 @@ using hdc::io::MappedSnapshot;
 using hdc::io::Pipeline;
 using hdc::io::SnapshotIntegrity;
 using hdc::io::SnapshotWriter;
+using hdc::serve::HeadMode;
 using hdc::serve::OutputFormat;
 using hdc::serve::PredictionWriter;
+using hdc::serve::Predictor;
 using hdc::serve::RowFormat;
 using hdc::serve::RowReader;
 using hdc::serve::Server;
@@ -119,7 +122,7 @@ TEST(ServerTest, ServesBitExactAcrossBatchSizesThreadsAndIntegrity) {
     const Server server(Pipeline::restore(snapshot), options);
     std::istringstream in(csv);
     std::ostringstream out;
-    RowReader reader(in, server.pipeline().num_features());
+    RowReader reader(in, server.predictor().num_features());
     PredictionWriter writer(out, OutputFormat::Plain);
     const Server::Stats stats = server.run(reader, writer);
     EXPECT_EQ(stats.rows, rows.size());
@@ -239,9 +242,10 @@ TEST(ServerTest, TextPipelineServesRawLinesBitExact) {
     EXPECT_FALSE(std::getline(lines, line));
   }
 
-  // predict_text agrees with the per-row oracle too.
+  // A text batch through the predictor agrees with the per-row oracle too.
   const Server server(Pipeline::restore(snapshot), {});
-  const std::vector<double> batched = server.predict_text(rows);
+  const std::vector<double> batched =
+      server.predictor().predict(rows, HeadMode::None).predictions;
   ASSERT_EQ(batched.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(batched[i],
@@ -268,8 +272,9 @@ TEST(ServerTest, ReaderFormatMustMatchThePipelineInputMode) {
   EXPECT_THROW((void)numeric_server.run(text_reader, writer),
                std::invalid_argument);
   const std::vector<std::string> text_rows{"abc"};
-  EXPECT_THROW((void)numeric_server.predict_text(text_rows),
-               std::logic_error);
+  EXPECT_THROW(
+      (void)numeric_server.predictor().predict(text_rows, HeadMode::None),
+      std::invalid_argument);
 }
 
 TEST(ServerTest, ConfidenceHeadMatchesPerRowTop2) {
@@ -420,26 +425,49 @@ class SlowLineBuf : public std::streambuf {
   std::size_t next_ = 0;
 };
 
+/// Runs \p body over each predictor the stdin loop must batch alike: the
+/// in-process batch engines and a 2-replica Loopback cluster.
+template <typename Body>
+void for_each_predictor(const Body& body) {
+  {
+    SCOPED_TRACE("local predictor");
+    hdc::serve::LocalPredictor local(
+        hdc::io::load_pipeline(beijing_snapshot()), beijing_snapshot());
+    body(local);
+  }
+  {
+    SCOPED_TRACE("2-replica loopback cluster");
+    hdc::cluster::ClusterOptions options;
+    options.replicas = 2;
+    options.backend = hdc::cluster::CommBackend::Loopback;
+    hdc::cluster::ShardedServer cluster(beijing_snapshot(), options);
+    body(cluster);
+  }
+}
+
 TEST(ServerTest, FlushIntervalFlushesPartialBatches) {
-  const auto snapshot = MappedSnapshot::open(beijing_snapshot());
-  ServerOptions options;
-  options.batch_size = 1024;  // never fills from 5 rows...
-  options.flush_interval = std::chrono::microseconds(200);  // ...the timer does
-  const Server server(Pipeline::restore(snapshot), options);
-  // Each inter-row gap sleeps well past the flush interval, so the timer
-  // check after every second admission is *guaranteed* to have expired
-  // (sleep_for never returns early on a steady clock): rows pair up as
-  // {0,1}, {2,3} with row 4 flushed by end-of-stream — at least 3 batches,
-  // always (scheduler preemption can only add flushes, never merge them).
-  SlowLineBuf buf(as_csv(beijing_rows(5)), std::chrono::milliseconds(2));
-  std::istream in(&buf);
-  std::ostringstream out;
-  RowReader reader(in, 3);
-  PredictionWriter writer(out, OutputFormat::Plain);
-  const Server::Stats stats = server.run(reader, writer);
-  EXPECT_EQ(stats.rows, 5U);
-  EXPECT_GE(stats.batches, 3U);
-  EXPECT_LE(stats.batches, 5U);
+  for_each_predictor([](Predictor& predictor) {
+    // The batch never fills from 5 rows; the timer flushes it.
+    ServerOptions options;
+    options.batch_size = 1024;
+    options.flush_interval = std::chrono::microseconds(200);
+    const Server server(predictor, options);
+    // Each inter-row gap sleeps well past the flush interval, so the timer
+    // check after every second admission is *guaranteed* to have expired
+    // (sleep_for never returns early on a steady clock): rows pair up as
+    // {0,1}, {2,3} with row 4 flushed by end-of-stream — at least 3
+    // batches, always (scheduler preemption can only add flushes, never
+    // merge them).
+    SlowLineBuf buf(as_csv(beijing_rows(5)), std::chrono::milliseconds(2));
+    std::istream in(&buf);
+    std::ostringstream out;
+    RowReader reader(in, 3);
+    PredictionWriter writer(out, OutputFormat::Plain);
+    const Server::Stats stats = server.run(reader, writer);
+    EXPECT_EQ(stats.rows, 5U);
+    EXPECT_GE(stats.batches, 3U);
+    EXPECT_LE(stats.batches, 5U);
+  });
 }
 
 TEST(ServerTest, PausedProducerNeverPinsAdmittedRows) {
@@ -450,39 +478,42 @@ TEST(ServerTest, PausedProducerNeverPinsAdmittedRows) {
   // pending rows before any read that may block.  With SlowLineBuf the
   // stream's buffer is provably empty after every admitted row, so each of
   // the 5 rows must be flushed as its own batch *before* the next
-  // inter-row sleep — deterministically, whatever the scheduler does.
-  const auto snapshot = MappedSnapshot::open(beijing_snapshot());
-  ServerOptions options;
-  options.batch_size = 1024;
-  options.flush_interval = std::chrono::milliseconds(60'000);  // huge
-  const Server server(Pipeline::restore(snapshot), options);
-  SlowLineBuf buf(as_csv(beijing_rows(5)), std::chrono::milliseconds(1));
-  std::istream in(&buf);
-  std::ostringstream out;
-  RowReader reader(in, 3);
-  PredictionWriter writer(out, OutputFormat::Plain);
-  const Server::Stats stats = server.run(reader, writer);
-  EXPECT_EQ(stats.rows, 5U);
-  // The huge interval proves the flush came from the may-block guard, not
-  // the deadline: the old loop would have served all 5 rows in one batch
-  // at end of stream.
-  EXPECT_EQ(stats.batches, 5U);
+  // inter-row sleep — deterministically, whatever the scheduler does.  A
+  // cluster predictor runs the same loop.
+  for_each_predictor([](Predictor& predictor) {
+    ServerOptions options;
+    options.batch_size = 1024;
+    options.flush_interval = std::chrono::milliseconds(60'000);  // huge
+    const Server server(predictor, options);
+    SlowLineBuf buf(as_csv(beijing_rows(5)), std::chrono::milliseconds(1));
+    std::istream in(&buf);
+    std::ostringstream out;
+    RowReader reader(in, 3);
+    PredictionWriter writer(out, OutputFormat::Plain);
+    const Server::Stats stats = server.run(reader, writer);
+    EXPECT_EQ(stats.rows, 5U);
+    // The huge interval proves the flush came from the may-block guard, not
+    // the deadline: the old loop would have served all 5 rows in one batch
+    // at end of stream.
+    EXPECT_EQ(stats.batches, 5U);
+  });
 }
 
 TEST(ServerTest, ZeroFlushIntervalDisablesTheTimer) {
-  const auto snapshot = MappedSnapshot::open(beijing_snapshot());
-  ServerOptions options;
-  options.batch_size = 1024;
-  options.flush_interval = std::chrono::microseconds(0);
-  const Server server(Pipeline::restore(snapshot), options);
-  SlowLineBuf buf(as_csv(beijing_rows(5)), std::chrono::milliseconds(1));
-  std::istream in(&buf);
-  std::ostringstream out;
-  RowReader reader(in, 3);
-  PredictionWriter writer(out, OutputFormat::Plain);
-  const Server::Stats stats = server.run(reader, writer);
-  EXPECT_EQ(stats.rows, 5U);
-  EXPECT_EQ(stats.batches, 1U);  // full/EOF flushes only
+  for_each_predictor([](Predictor& predictor) {
+    ServerOptions options;
+    options.batch_size = 1024;
+    options.flush_interval = std::chrono::microseconds(0);
+    const Server server(predictor, options);
+    SlowLineBuf buf(as_csv(beijing_rows(5)), std::chrono::milliseconds(1));
+    std::istream in(&buf);
+    std::ostringstream out;
+    RowReader reader(in, 3);
+    PredictionWriter writer(out, OutputFormat::Plain);
+    const Server::Stats stats = server.run(reader, writer);
+    EXPECT_EQ(stats.rows, 5U);
+    EXPECT_EQ(stats.batches, 1U);  // full/EOF flushes only
+  });
 }
 
 TEST(ServerTest, MalformedRowServesEarlierRowsThenThrows) {

@@ -5,7 +5,8 @@
 # the prediction stream over the committed test rows is byte-compared
 # against the single-process baseline (which itself matches the committed
 # golden).  Also asserts the operator summary names the cluster shape, the
-# fork banner lists worker pids, and bad flag values are refused.
+# fork banner lists worker pids, --latency measures real per-row latency,
+# and bad flag values are refused.
 #
 # Inputs: -DHDCGEN=<tool path> -DWORK_DIR=<scratch dir>
 #         -DDATA_DIR=<tests/serve/data>
@@ -153,6 +154,34 @@ foreach(replicas 2 7)
       "cluster_e2e: ${label} bands differ from the committed golden")
   endif()
 endforeach()
+
+# --- per-row latency is measured through the cluster too: admission to
+# write, from the same micro-batch loop as one process, never a constant 0.
+execute_process(
+  COMMAND "${HDCGEN}" serve "${SNAPSHOT}" --batch 8 --format csv --latency
+    --replicas 2 --backend fork
+  INPUT_FILE "${ROWS}"
+  OUTPUT_FILE "${WORK_DIR}/latency.csv"
+  ERROR_VARIABLE err RESULT_VARIABLE code)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "serve --latency --replicas 2: exit ${code}\n${err}")
+endif()
+file(STRINGS "${WORK_DIR}/latency.csv" latency_lines)
+set(latency_rows 0)
+set(latency_nonzero 0)
+foreach(line IN LISTS latency_lines)
+  if(line MATCHES "^[0-9]+,[^,]+,([^,]+)$")
+    math(EXPR latency_rows "${latency_rows} + 1")
+    if(NOT CMAKE_MATCH_1 MATCHES "^0(\\.0*)?$")
+      math(EXPR latency_nonzero "${latency_nonzero} + 1")
+    endif()
+  endif()
+endforeach()
+if(NOT latency_rows EQUAL 60 OR latency_nonzero EQUAL 0)
+  message(FATAL_ERROR
+    "cluster_e2e: --latency --replicas 2 wrote ${latency_nonzero} nonzero "
+    "latency_us values over ${latency_rows} rows (want 60 rows, not all 0)")
+endif()
 
 # --- invalid cluster flags are refused up front with a usage diagnostic.
 execute_process(
