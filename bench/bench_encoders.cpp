@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -137,7 +139,9 @@ void BM_BatchEncodeKeyValue18(benchmark::State& state) {
       std::make_shared<hdc::KeyValueEncoder>(18, make_angle_encoder(64), 2);
   const hdc::runtime::BatchEncoder batch(
       kDim,
-      [encoder](std::span<const double> row) { return encoder->encode(row); },
+      [encoder](std::span<const double> row, std::span<std::uint64_t> out) {
+        std::ranges::copy(encoder->encode(row).words(), out.begin());
+      },
       std::make_shared<hdc::runtime::ThreadPool>());
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   std::vector<double> flat(rows * 18);

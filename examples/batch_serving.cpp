@@ -9,12 +9,14 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "hdc/core/basis_level.hpp"
+#include "hdc/core/composed_encoder.hpp"
 #include "hdc/data/beijing.hpp"
 #include "hdc/data/splits.hpp"
 #include "hdc/experiments/experiment.hpp"
@@ -58,12 +60,14 @@ int main() {
   const auto pool = std::make_shared<hdc::runtime::ThreadPool>();
   std::printf("thread pool: %zu workers\n", pool->size());
 
-  // Feature rows are (year_index, day_of_year - 1, hour) triples.
+  // Feature rows are (year_index, day_of_year - 1, hour) triples, bound
+  // as Y ⊗ D ⊗ H and encoded straight into the batch arena.
+  const hdc::ComposedEncoder composed(
+      {year_encoder, day_encoder, hour_encoder});
   const hdc::runtime::BatchEncoder encoder(
       kDim,
-      [&](std::span<const double> row) {
-        return year_encoder->encode(row[0]) ^ day_encoder->encode(row[1]) ^
-               hour_encoder->encode(row[2]);
+      [&](std::span<const double> row, std::span<std::uint64_t> out) {
+        composed.encode_into(row, out);
       },
       pool);
 
@@ -122,9 +126,7 @@ int main() {
   serial_predictions.reserve(total_queries);
   for (std::size_t i = 0; i < total_queries; ++i) {
     const std::span<const double> row(query_rows.data() + i * 3, 3);
-    const hdc::Hypervector encoded = year_encoder->encode(row[0]) ^
-                                     day_encoder->encode(row[1]) ^
-                                     hour_encoder->encode(row[2]);
+    const hdc::Hypervector encoded = composed.encode(row);
     serial_predictions.push_back(model.model().predict(encoded));
   }
   const double serial_seconds = seconds_since(start);

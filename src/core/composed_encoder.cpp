@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "hdc/core/bitops.hpp"
+
 namespace hdc {
 
 ComposedEncoder::ComposedEncoder(std::vector<ScalarEncoderPtr> parts)
@@ -30,17 +32,30 @@ ComposedEncoder::ComposedEncoder(std::vector<ScalarEncoderPtr> parts)
 }
 
 Hypervector ComposedEncoder::encode(std::span<const double> features) const {
+  Hypervector bound(dimension());
+  encode_into(features, bound.words());
+  return bound;
+}
+
+void ComposedEncoder::encode_into(std::span<const double> features,
+                                  std::span<std::uint64_t> out) const {
   if (features.size() != parts_.size()) {
     throw std::invalid_argument(
         "ComposedEncoder::encode: expected " + std::to_string(parts_.size()) +
         " features, got " + std::to_string(features.size()));
   }
-  Hypervector bound =
-      parts_[0]->encode(features[0]) ^ parts_[1]->encode(features[1]);
-  for (std::size_t i = 2; i < parts_.size(); ++i) {
-    bound ^= parts_[i]->encode(features[i]);
+  if (out.size() != bits::words_for(dimension())) {
+    throw std::invalid_argument(
+        "ComposedEncoder::encode_into: output row has " +
+        std::to_string(out.size()) + " words, expected " +
+        std::to_string(bits::words_for(dimension())));
   }
-  return bound;
+  // Basis views are zero-tailed, so their XOR product is too.
+  bits::xor_rows(out, parts_[0]->encode(features[0]).words(),
+                 parts_[1]->encode(features[1]).words());
+  for (std::size_t i = 2; i < parts_.size(); ++i) {
+    bits::xor_into(out, parts_[i]->encode(features[i]).words());
+  }
 }
 
 const ScalarEncoder& ComposedEncoder::part(std::size_t i) const {

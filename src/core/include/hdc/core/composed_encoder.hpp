@@ -14,11 +14,14 @@
 /// (corr(a ⊗ b, a' ⊗ b') = corr(a, a') * corr(b, b')), the composition is
 /// similarity-preserving along every input axis at once.
 ///
-/// Encoders are immutable and shared; encode() only reads basis state, so a
+/// Encoders are immutable and shared; encoding only reads basis state, so a
 /// ComposedEncoder is safe to call concurrently from the hdc::runtime batch
 /// engines and serves restored (snapshot-borrowed) parts unchanged.
+/// encode_into() XORs the parts' basis views straight into a caller-owned
+/// row (an arena slot), so batch encoding allocates nothing per row.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,6 +41,13 @@ class ComposedEncoder {
   /// Encodes one feature row: features[i] through parts()[i], XOR-bound.
   /// \throws std::invalid_argument if features.size() != num_features().
   [[nodiscard]] Hypervector encode(std::span<const double> features) const;
+
+  /// encode() written into \p out, which is overwritten (not accumulated
+  /// into) and keeps the zero-tail invariant.
+  /// \throws std::invalid_argument if features.size() != num_features() or
+  /// out.size() != bits::words_for(dimension()).
+  void encode_into(std::span<const double> features,
+                   std::span<std::uint64_t> out) const;
 
   [[nodiscard]] std::size_t num_features() const noexcept {
     return parts_.size();

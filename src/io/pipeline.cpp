@@ -1,5 +1,7 @@
 #include "hdc/io/pipeline.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -190,21 +192,24 @@ runtime::BatchEncoder Pipeline::batch_encoder(
   }
   runtime::BatchEncoder::EncodeFn encode;
   if (features_) {
-    encode = [encoder = features_](std::span<const double> row) {
-      return encoder->encode(row);
+    encode = [encoder = features_](std::span<const double> row,
+                                   std::span<std::uint64_t> out) {
+      std::ranges::copy(encoder->encode(row).words(), out.begin());
     };
   } else if (composed_) {
-    encode = [encoder = composed_](std::span<const double> row) {
-      return encoder->encode(row);
+    encode = [encoder = composed_](std::span<const double> row,
+                                   std::span<std::uint64_t> out) {
+      encoder->encode_into(row, out);
     };
   } else {
-    encode = [encoder = scalar_](std::span<const double> row) {
+    encode = [encoder = scalar_](std::span<const double> row,
+                                 std::span<std::uint64_t> out) {
       if (row.size() != 1) {
         throw std::invalid_argument(
             "Pipeline batch encoder: scalar-encoder pipelines take exactly "
             "one feature per row");
       }
-      return Hypervector(encoder->encode(row[0]));
+      std::ranges::copy(encoder->encode(row[0]).words(), out.begin());
     };
   }
   return runtime::BatchEncoder(dimension_, std::move(encode), std::move(pool));

@@ -1,8 +1,9 @@
 #include "hdc/runtime/batch_encoder.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "hdc/base/require.hpp"
+#include "hdc/core/bitops.hpp"
 
 namespace hdc::runtime {
 
@@ -25,11 +26,8 @@ VectorArena BatchEncoder::encode(std::span<const double> rows,
   pool_->for_chunks(count, [&](std::size_t begin, std::size_t end,
                                std::size_t /*chunk*/) {
     for (std::size_t i = begin; i < end; ++i) {
-      const Hypervector hv = encode_(rows.subspan(i * row_width, row_width));
-      require(hv.dimension() == dimension_, "BatchEncoder::encode",
-              "encode function returned a wrong-dimension hypervector");
-      const auto src = hv.words();
-      std::copy(src.begin(), src.end(), arena.mutable_words(i).begin());
+      encode_into(rows.subspan(i * row_width, row_width),
+                  arena.mutable_words(i));
     }
   });
   return arena;
@@ -42,14 +40,18 @@ VectorArena BatchEncoder::encode(
   pool_->for_chunks(count, [&](std::size_t begin, std::size_t end,
                                std::size_t /*chunk*/) {
     for (std::size_t i = begin; i < end; ++i) {
-      const Hypervector hv = encode_(rows[i]);
-      require(hv.dimension() == dimension_, "BatchEncoder::encode",
-              "encode function returned a wrong-dimension hypervector");
-      const auto src = hv.words();
-      std::copy(src.begin(), src.end(), arena.mutable_words(i).begin());
+      encode_into(rows[i], arena.mutable_words(i));
     }
   });
   return arena;
+}
+
+void BatchEncoder::encode_into(std::span<const double> row,
+                               std::span<std::uint64_t> out) const {
+  require(out.size() == bits::words_for(dimension_),
+          "BatchEncoder::encode_into",
+          "out must hold words_for(dimension) words");
+  encode_(row, out);
 }
 
 }  // namespace hdc::runtime

@@ -80,9 +80,10 @@ class MicroBatcher {
   [[nodiscard]] std::size_t batches() const noexcept { return batches_; }
 
  private:
-  /// Admits the row just parsed into row_ / text_row_.
+  /// Admits the row just parsed into row_ / text_row_ by swapping it into
+  /// slot pending_.
   void push();
-  /// Drops the pending batch.
+  /// Drops the pending batch (the slots keep their buffers).
   void clear();
 
   RowReader* reader_;
@@ -93,7 +94,8 @@ class MicroBatcher {
   /// Whether every row's admission time is kept (the writer prints
   /// latency); otherwise only the oldest pending row's, for the deadline.
   bool timed_rows_;
-  /// One of the two row buffers stays empty, per the input mode.
+  /// Row slots, kept across batches (only the first pending_ are live);
+  /// one of the two stays empty, per the input mode.
   std::vector<std::vector<double>> rows_;
   std::vector<std::string> texts_;
   std::vector<clock::time_point> admitted_;

@@ -16,7 +16,7 @@
 /// prediction in the batch instead of failing loudly at the parse edge.
 ///
 /// The reader never buffers beyond the current line, so it serves unbounded
-/// streams in constant memory.
+/// streams in constant memory; the line buffer is reused from row to row.
 
 #include <cstddef>
 #include <cstdint>
@@ -140,6 +140,8 @@ class RowReader {
   RowFormat format_;
   std::size_t line_ = 0;
   std::size_t rows_ = 0;
+  /// next()/next_text()'s line buffer, kept so its capacity is reused.
+  std::string line_buf_;
 };
 
 }  // namespace hdc::serve

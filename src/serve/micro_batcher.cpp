@@ -1,6 +1,7 @@
 #include "hdc/serve/micro_batcher.hpp"
 
 #include <exception>
+#include <span>
 #include <stdexcept>
 
 namespace hdc::serve {
@@ -56,10 +57,18 @@ MicroBatcher::MicroBatcher(const Predictor& predictor, RowReader& reader,
 }
 
 void MicroBatcher::push() {
+  // Swap the parsed row into its slot: the slot's old buffer becomes the
+  // next parse target, so after the first full batch no row allocates.
   if (text_) {
-    texts_.push_back(text_row_);
+    if (pending_ == texts_.size()) {
+      texts_.emplace_back();
+    }
+    texts_[pending_].swap(text_row_);
   } else {
-    rows_.push_back(row_);
+    if (pending_ == rows_.size()) {
+      rows_.emplace_back();
+    }
+    rows_[pending_].swap(row_);
   }
   // A clock read costs about as much as parsing a short row: take one per
   // row only when the writer prints it.
@@ -91,12 +100,13 @@ std::size_t MicroBatcher::flush(Predictor& predictor) {
     return 0;
   }
   const HeadMode head = writer_->head();
+  // Only the first `count` slots hold this batch; later ones are stale.
+  const auto rows = std::span<const std::vector<double>>(rows_).first(count);
+  const auto texts = std::span<const std::string>(texts_).first(count);
+  const SampleBatch batch = text_ ? SampleBatch(texts) : SampleBatch(rows);
   Predictions answers;
   try {
-    answers = predictor.predict(
-        text_ ? SampleBatch(std::span<const std::string>(texts_))
-              : SampleBatch(std::span<const std::vector<double>>(rows_)),
-        head);
+    answers = predictor.predict(batch, head);
   } catch (const std::exception& e) {
     clear();
     // Drain what earlier batches wrote, then name the stream position: the
@@ -137,8 +147,7 @@ std::size_t MicroBatcher::flush(Predictor& predictor) {
 }
 
 void MicroBatcher::clear() {
-  rows_.clear();
-  texts_.clear();
+  // The row slots stay allocated for the next batch; pending_ bounds them.
   admitted_.clear();
   pending_ = 0;
 }

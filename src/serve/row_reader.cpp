@@ -167,9 +167,8 @@ bool RowReader::next(std::vector<double>& out) {
     throw std::logic_error(
         "RowReader::next: stream-less reader (use parse_line)");
   }
-  std::string line;
-  while (std::getline(*in_, line)) {
-    if (parse_line(line, out)) {
+  while (std::getline(*in_, line_buf_)) {
+    if (parse_line(line_buf_, out)) {
       return true;
     }
   }
@@ -184,9 +183,8 @@ bool RowReader::next_text(std::string& out) {
     throw std::logic_error(
         "RowReader::next_text: stream-less reader (use parse_text_line)");
   }
-  std::string line;
-  while (std::getline(*in_, line)) {
-    if (parse_text_line(line, out)) {
+  while (std::getline(*in_, line_buf_)) {
+    if (parse_text_line(line_buf_, out)) {
       return true;
     }
   }

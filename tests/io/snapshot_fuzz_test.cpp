@@ -236,6 +236,11 @@ std::vector<std::vector<std::uint64_t>> materialize_all(
         }
         break;
       }
+      case hdc::io::SectionType::DeltaPatch:
+        // A delta patch only materializes against its base file
+        // (read_delta_file + apply); delta_test fuzzes that path.  The
+        // payload words are still compared below.
+        break;
     }
     const auto words = snapshot.section_words(i);
     payloads.emplace_back(words.begin(), words.end());

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -92,7 +94,10 @@ TEST(BatchEncoderTest, MatchesSingleItemEncoder) {
   const auto values = make_angle_labels(32, 5);
   const auto encoder = std::make_shared<hdc::KeyValueEncoder>(4, values, 6);
   BatchEncoder batch(
-      kDim, [encoder](std::span<const double> row) { return encoder->encode(row); },
+      kDim,
+      [encoder](std::span<const double> row, std::span<std::uint64_t> out) {
+        std::ranges::copy(encoder->encode(row).words(), out.begin());
+      },
       make_pool());
 
   Rng rng(23);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -118,7 +120,9 @@ TEST(ThreadInvarianceTest, BatchEncoderOutputIndependentOfThreadCount) {
   for (const std::size_t threads : kThreadCounts) {
     BatchEncoder batch(
         kDim,
-        [encoder](std::span<const double> row) { return encoder->encode(row); },
+        [encoder](std::span<const double> row, std::span<std::uint64_t> out) {
+          std::ranges::copy(encoder->encode(row).words(), out.begin());
+        },
         std::make_shared<ThreadPool>(threads));
     results.push_back(batch.encode(flat, 3));
   }

@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "hdc/cluster/cluster.hpp"
@@ -533,6 +536,114 @@ TEST(ServerTest, MalformedRowServesEarlierRowsThenThrows) {
     oracle.write(1, pipeline.regress(std::vector<double>{1, 180, 12}), 0.0);
   }
   EXPECT_EQ(out.str(), expected.str());
+}
+
+using Rows = std::vector<std::vector<double>>;
+
+/// Forwards to a real predictor and records every numeric batch it was
+/// asked to predict, row by row.
+class RecordingPredictor : public Predictor {
+ public:
+  explicit RecordingPredictor(Predictor& inner) : inner_(&inner) {}
+
+  [[nodiscard]] hdc::io::PipelineKind kind() const override {
+    return inner_->kind();
+  }
+  [[nodiscard]] hdc::io::PipelineInput input() const override {
+    return inner_->input();
+  }
+  [[nodiscard]] std::size_t num_features() const override {
+    return inner_->num_features();
+  }
+  [[nodiscard]] hdc::serve::Predictions predict(
+      const hdc::serve::SampleBatch& batch, HeadMode head) override {
+    const auto rows = std::get<std::span<const std::vector<double>>>(batch);
+    batches.emplace_back(rows.begin(), rows.end());
+    return inner_->predict(batch, head);
+  }
+  hdc::serve::AdaptOutcome adapt(const hdc::serve::Sample& sample,
+                                 double target) override {
+    return inner_->adapt(sample, target);
+  }
+  std::uint64_t reload(const std::string& path) override {
+    return inner_->reload(path);
+  }
+  std::uint64_t export_delta(const std::string& out_path) override {
+    return inner_->export_delta(out_path);
+  }
+  [[nodiscard]] std::uint64_t generation() const override {
+    return inner_->generation();
+  }
+  [[nodiscard]] std::string source() const override { return inner_->source(); }
+
+  std::vector<Rows> batches;
+
+ private:
+  Predictor* inner_;
+};
+
+/// The per-row Pipeline::regress oracle over \p rows, as plain output.
+std::string regress_oracle(const Rows& rows) {
+  const auto snapshot = MappedSnapshot::open(beijing_snapshot());
+  const Pipeline pipeline = Pipeline::restore(snapshot);
+  std::ostringstream out;
+  PredictionWriter writer(out, OutputFormat::Plain);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    writer.write(i, pipeline.regress(rows[i]), 0.0);
+  }
+  return out.str();
+}
+
+TEST(ServerTest, ShortLastBatchPredictsOnlyItsOwnRows) {
+  // The batcher keeps its row slots across batches: after two full batches
+  // of 4, the last batch of 2 reuses slots that still hold rows 4..7.  It
+  // must hand the predictor rows 8 and 9 only, never a stale slot.
+  const auto rows = beijing_rows(10);
+  const std::string expected = regress_oracle(rows);
+  for_each_predictor([&](Predictor& inner) {
+    RecordingPredictor predictor(inner);
+    ServerOptions options;
+    options.batch_size = 4;
+    const Server server(predictor, options);
+    std::istringstream in(as_csv(rows));
+    std::ostringstream out;
+    RowReader reader(in, 3);
+    PredictionWriter writer(out, OutputFormat::Plain);
+    const Server::Stats stats = server.run(reader, writer);
+    EXPECT_EQ(stats.rows, 10U);
+    EXPECT_EQ(stats.batches, 3U);
+    ASSERT_EQ(predictor.batches.size(), 3U);
+    EXPECT_EQ(predictor.batches[0], Rows(rows.begin(), rows.begin() + 4));
+    EXPECT_EQ(predictor.batches[1], Rows(rows.begin() + 4, rows.begin() + 8));
+    EXPECT_EQ(predictor.batches[2], Rows(rows.begin() + 8, rows.end()));
+    EXPECT_EQ(out.str(), expected);
+  });
+}
+
+TEST(ServerTest, RowErrorInThirdBatchWritesExactlyTheEarlierRows) {
+  // Two full batches of 4 reach the writer; line 9 opens the third batch
+  // and is malformed, so nothing of it is predicted.
+  const auto rows = beijing_rows(8);
+  const std::string expected = regress_oracle(rows);
+  for_each_predictor([&](Predictor& inner) {
+    RecordingPredictor predictor(inner);
+    ServerOptions options;
+    options.batch_size = 4;
+    const Server server(predictor, options);
+    std::istringstream in(as_csv(rows) + "0,broken,3\n4,300,23\n");
+    std::ostringstream out;
+    RowReader reader(in, 3);
+    PredictionWriter writer(out, OutputFormat::Plain);
+    try {
+      (void)server.run(reader, writer);
+      ADD_FAILURE() << "the malformed row was accepted";
+    } catch (const hdc::serve::RowError& error) {
+      EXPECT_NE(std::string(error.what()).find("row 9"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(predictor.batches.size(), 2U);
+    EXPECT_EQ(out.str(), expected);
+  });
 }
 
 TEST(ServerTest, RejectsArityMismatchAndZeroBatch) {

@@ -83,6 +83,39 @@ diff_golden("${WORK_DIR}/batch7.txt" "batch=7")
 serve("${WORK_DIR}/batch256.txt" --batch 256 --flush-us 1000000)
 diff_golden("${WORK_DIR}/batch256.txt" "batch=256")
 
+# --- --flush-us bounds staleness, it must not shrink batches: rows already
+# buffered on stdin join the pending batch, so 60 rows at --batch 16 go
+# out as 16 + 16 + 16 + 12, whether stdin is a file or a pipe.  (A reader
+# that never sees buffered input flushes a batch of one per row.)
+set(flush_args --batch 16 --flush-us 10000000)
+foreach(source file pipe)
+  set(out_file "${WORK_DIR}/flush_${source}.txt")
+  if(source STREQUAL "file")
+    execute_process(
+      COMMAND "${HDCGEN}" serve "${SNAPSHOT}" ${flush_args}
+      INPUT_FILE "${ROWS}"
+      OUTPUT_FILE "${out_file}"
+      ERROR_VARIABLE err
+      RESULT_VARIABLE code)
+  else()
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E cat "${ROWS}"
+      COMMAND "${HDCGEN}" serve "${SNAPSHOT}" ${flush_args}
+      OUTPUT_FILE "${out_file}"
+      ERROR_VARIABLE err
+      RESULT_VARIABLE code)
+  endif()
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "hdcgen serve --flush-us (${source}): exit ${code}\n${err}")
+  endif()
+  if(NOT err MATCHES "served 60 rows in 4 batches")
+    message(FATAL_ERROR
+      "hdcgen serve --batch 16 --flush-us 10000000 (${source}): expected "
+      "'served 60 rows in 4 batches'\n${err}")
+  endif()
+  diff_golden("${out_file}" "--flush-us ${source}")
+endforeach()
+
 # --- JSONL input of the same rows must serve the same predictions.
 file(READ "${ROWS}" csv_rows)
 string(REGEX REPLACE "([^\n]+)\n" "[\\1]\n" jsonl_rows "${csv_rows}")

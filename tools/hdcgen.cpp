@@ -645,6 +645,12 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
     return cmd_serve_net(path, predictor, dimension, options);
   }
 
+  // Unsynced, untied standard streams: the thread pool makes this process
+  // multi-threaded, and synced streams then lock C stdio on every character
+  // read or written.  Their own buffers also let the reader see buffered
+  // rows, so --flush-us groups rows per batch instead of flushing each one.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   hdc::serve::ServerOptions options;
   options.batch_size = batch;
   options.flush_interval = flush_interval;
