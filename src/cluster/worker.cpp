@@ -318,8 +318,9 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
                              std::string& out) const {
   const io::Pipeline& p = loaded_.pipeline;
   const bool classifies = p.kind() == io::PipelineKind::Classifier;
-  // The scanned arena: class-vectors for a classifier, the label basis for
-  // a regressor (whose query is the self-inverse unbinding model ⊗ phi(x̂)).
+  // The scanned arena: class-vectors for a classifier, the (possibly
+  // adapted) model's keyed label rows M ⊗ L_l for a regressor — either way
+  // the raw query is swept, with no per-row unbinding.
   std::span<const std::uint64_t> arena;
   std::size_t stride = 0;
   std::size_t candidates = 0;
@@ -329,10 +330,12 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
     stride = model.words_per_class();
     candidates = model.num_classes();
   } else {
-    const Basis& labels = p.regressor().labels().basis();
-    arena = labels.packed_words();
-    stride = labels.words_per_vector();
-    candidates = labels.size();
+    const HDRegressor& model =
+        adaptive_regressor_ != nullptr ? adaptive_regressor_->current()
+                                       : p.regressor();
+    arena = model.keyed_label_words();
+    stride = bits::words_for(model.dimension());
+    candidates = model.labels().size();
   }
   const std::size_t begin = shard_begin(cfg_.rank, cfg_.replicas, candidates);
   const std::size_t end = shard_end(cfg_.rank, cfg_.replicas, candidates);
@@ -342,7 +345,6 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
     // profiles concatenated in rank order rebuild the full grid profile.
     put_u64(out, end - begin);
   }
-  std::vector<std::uint64_t> bound;
   for (const Hypervector& query : encoded) {
     if (begin == end) {
       // Empty slice (more ranks than candidates): all-ones sentinels for
@@ -383,24 +385,14 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
       }
       continue;
     }
-    // Unbind against the (possibly adapted) model; the scanned label basis
-    // is shared with the base, so only the query changes.
-    const std::span<const std::uint64_t> model =
-        adaptive_regressor_ != nullptr ? adaptive_regressor_->model_words()
-                                       : p.regressor().model().words();
-    bound.resize(query.words().size());
-    for (std::size_t w = 0; w < bound.size(); ++w) {
-      bound[w] = model[w] ^ query.words()[w];
-    }
-    const std::span<const std::uint64_t> unbound{bound};
+    const auto words = query.words();
     if (head) {
       for (std::size_t j = begin; j < end; ++j) {
-        put_u64(out, bits::hamming(unbound, arena.subspan(j * stride,
-                                                          stride)));
+        put_u64(out, bits::hamming(words, arena.subspan(j * stride, stride)));
       }
     } else {
       const bits::NearestMatch best = bits::nearest_hamming(
-          unbound, arena.subspan(begin * stride), stride, end - begin);
+          words, arena.subspan(begin * stride), stride, end - begin);
       put_u64(out, best.distance);
       put_u64(out, begin + best.index);
     }

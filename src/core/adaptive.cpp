@@ -197,34 +197,6 @@ AdaptiveRegressor::AdaptiveRegressor(std::shared_ptr<const HDRegressor> base,
   tie_breaker_ = Hypervector::random(base_->dimension(), rng);
 }
 
-double AdaptiveRegressor::predict(HypervectorView encoded_input) const {
-  require(encoded_input.dimension() == dimension(),
-          "AdaptiveRegressor::predict", "input dimension mismatch");
-  if (overlay_ == nullptr) {
-    return base_->predict(encoded_input);
-  }
-  return base_->labels().decode(overlay_->model ^ encoded_input);
-}
-
-void AdaptiveRegressor::label_distances(HypervectorView encoded_input,
-                                        std::span<std::size_t> out) const {
-  require(encoded_input.dimension() == dimension(),
-          "AdaptiveRegressor::label_distances", "input dimension mismatch");
-  const Basis& basis = base_->labels().basis();
-  require(out.size() >= basis.size(), "AdaptiveRegressor::label_distances",
-          "out must hold one distance per label grid point");
-  std::vector<std::uint64_t> bound(bits::words_for(dimension()));
-  bits::xor_rows(bound, model_words(), encoded_input.words());
-  bits::hamming_many(bound, basis.packed_words(), basis.words_per_vector(),
-                     basis.size(), out);
-}
-
-Band AdaptiveRegressor::predict_band(HypervectorView encoded_input) const {
-  std::vector<std::size_t> distances(base_->labels().size());
-  label_distances(encoded_input, distances);
-  return band_from_distances(distances, base_->labels(), dimension());
-}
-
 double AdaptiveRegressor::adapt(HypervectorView encoded_input, double target) {
   require(encoded_input.dimension() == dimension(), "AdaptiveRegressor::adapt",
           "input dimension mismatch");
@@ -235,36 +207,32 @@ double AdaptiveRegressor::adapt(HypervectorView encoded_input, double target) {
   // target is first quantized by phi_l anyway.
   if (labels.index_of(target) != labels.index_of(predicted)) {
     if (overlay_ == nullptr) {
+      auto model = HDRegressor::from_model(base_->labels_ptr(), base_->model());
       overlay_ = std::make_unique<Overlay>(
-          Overlay{BundleAccumulator(dimension()), base_->model()});
-      overlay_->acc.add(overlay_->model);  // Majority-vote prior, as above.
+          Overlay{BundleAccumulator(dimension()), std::move(model)});
+      overlay_->acc.add(base_->model());  // Majority-vote prior, as above.
     }
     overlay_->acc.add(encoded_input ^ labels.encode(target));
     overlay_->acc.subtract(encoded_input ^ labels.encode(predicted));
-    overlay_->model = overlay_->acc.finalize(tie_breaker_);
+    overlay_->model = HDRegressor::from_model(
+        base_->labels_ptr(), overlay_->acc.finalize(tie_breaker_));
     ++updates_;
   }
   return predicted;
-}
-
-std::span<const std::uint64_t> AdaptiveRegressor::model_words() const {
-  return overlay_ != nullptr ? overlay_->model.words() : base_->model().words();
 }
 
 std::map<std::size_t, std::vector<std::uint64_t>>
 AdaptiveRegressor::changed_rows() const {
   std::map<std::size_t, std::vector<std::uint64_t>> rows;
   if (overlay_ != nullptr) {
-    const auto words = overlay_->model.words();
+    const auto words = overlay_->model.model().words();
     rows.emplace(0, std::vector<std::uint64_t>(words.begin(), words.end()));
   }
   return rows;
 }
 
 HDRegressor AdaptiveRegressor::materialize() const {
-  return HDRegressor::from_model(
-      base_->labels_ptr(),
-      overlay_ != nullptr ? overlay_->model : base_->model());
+  return HDRegressor::from_model(base_->labels_ptr(), current().model());
 }
 
 void AdaptiveRegressor::reset() noexcept {

@@ -181,30 +181,45 @@ class AdaptiveRegressor {
   }
   [[nodiscard]] const HDRegressor& base() const noexcept { return *base_; }
 
-  /// decode(M ⊗ phi(x̂)) over the current (overlay or base) model.
-  /// \throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] double predict(HypervectorView encoded_input) const;
+  /// The current model: the overlay regressor once adapt() touched the
+  /// model row, else the base.  Every readout below is this model's, keyed
+  /// label rows included.
+  [[nodiscard]] const HDRegressor& current() const noexcept {
+    return overlay_ != nullptr ? overlay_->model : *base_;
+  }
 
-  /// The label-grid distance profile of the *current* (overlay or base)
-  /// model — `HDRegressor::label_distances` over the adapted model row.
-  /// \p out must hold base().labels().size() entries.
+  /// decode(M ⊗ phi(x̂)) over the current model (HDRegressor::predict).
+  /// \throws std::invalid_argument on dimension mismatch.
+  [[nodiscard]] double predict(HypervectorView encoded_input) const {
+    return current().predict(encoded_input);
+  }
+
+  /// The label-grid distance profile of the current model
+  /// (HDRegressor::label_distances).  \p out must hold
+  /// base().labels().size() entries.
   /// \throws std::invalid_argument on dimension or size mismatch.
   void label_distances(HypervectorView encoded_input,
-                       std::span<std::size_t> out) const;
+                       std::span<std::size_t> out) const {
+    current().label_distances(encoded_input, out);
+  }
 
-  /// p10/p50/p90 band over the current model (see
-  /// HDRegressor::predict_band).
-  [[nodiscard]] Band predict_band(HypervectorView encoded_input) const;
+  /// p10/p50/p90 band over the current model (HDRegressor::predict_band).
+  [[nodiscard]] Band predict_band(HypervectorView encoded_input) const {
+    return current().predict_band(encoded_input);
+  }
 
   /// One mistake-driven update, mirroring `HDRegressor::adapt`: on a decoded
   /// value that differs from \p target, adds phi(x̂) ⊗ phi_l(target),
   /// subtracts phi(x̂) ⊗ phi_l(predicted), and re-thresholds the model row
-  /// (cloned from the base on first touch).  Returns the pre-update
+  /// (cloned from the base on first touch) into a fresh inference-only
+  /// overlay regressor, keyed label rows included.  Returns the pre-update
   /// prediction.  \throws std::invalid_argument on dimension mismatch.
   double adapt(HypervectorView encoded_input, double target);
 
   /// The current model row's packed words (overlay if touched, else base).
-  [[nodiscard]] std::span<const std::uint64_t> model_words() const;
+  [[nodiscard]] std::span<const std::uint64_t> model_words() const {
+    return current().model().words();
+  }
 
   /// True once adapt() has cloned the model row.
   [[nodiscard]] bool touched() const noexcept { return overlay_ != nullptr; }
@@ -226,7 +241,7 @@ class AdaptiveRegressor {
  private:
   struct Overlay {
     BundleAccumulator acc;
-    Hypervector model;
+    HDRegressor model;  ///< Inference-only, rebuilt by every update.
   };
 
   std::shared_ptr<const HDRegressor> base_;

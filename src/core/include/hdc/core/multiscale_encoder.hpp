@@ -78,13 +78,19 @@ class MultiScaleCircularEncoder final : public ScalarEncoder {
   [[nodiscard]] HypervectorView encode(double value) const override;
   [[nodiscard]] std::size_t index_of(double value) const override;
   [[nodiscard]] double value_of(std::size_t index) const override;
-  [[nodiscard]] double decode(HypervectorView query) const override;
 
   /// The finest-scale basis (defines the public grid).  On a restored
   /// encoder this is the only materialized basis; the coarser scales live
   /// pre-bound inside the arena.
   [[nodiscard]] const Basis& basis() const noexcept override {
     return bases_.back();
+  }
+
+  /// The bound arena: decode() cleans up against the multi-scale bindings
+  /// encode() hands out, not against the finest basis alone.
+  [[nodiscard]] std::span<const std::uint64_t> grid_words()
+      const noexcept override {
+    return packed_.words();
   }
 
   [[nodiscard]] double period() const noexcept { return period_; }

@@ -12,7 +12,10 @@
 ///
 /// Two inference paths are provided:
 ///  * `predict()` — the paper-faithful path: M is the majority-quantized
-///    binary model;
+///    binary model.  Binding is self-inverse and preserves Hamming
+///    distance, so d(M ⊗ q, L_l) = d(q, M ⊗ L_l): every write of M also
+///    writes the keyed label rows K_l = M ⊗ L_l, and the readout sweeps K
+///    with the raw query — no per-row bind, no allocation;
 ///  * `predict_integer()` — extension: skips quantization and scores each
 ///    label vector by the signed projection of the integer accumulator,
 ///    which preserves per-sample magnitudes.
@@ -23,6 +26,7 @@
 #include "hdc/core/accumulator.hpp"
 #include "hdc/core/confidence.hpp"
 #include "hdc/core/scalar_encoder.hpp"
+#include "hdc/core/word_storage.hpp"
 
 namespace hdc {
 
@@ -93,16 +97,18 @@ class HDRegressor {
   /// std::invalid_argument on dimension mismatch.
   double adapt(HypervectorView encoded_input, double target);
 
-  /// Paper-faithful prediction: decode(M ⊗ phi(x̂)) via the label basis.
+  /// Paper-faithful prediction: labels().decode(M ⊗ phi(x̂)), read out as
+  /// value_of of the keyed row nearest to phi(x̂) (lowest index on ties).
   /// \throws std::logic_error if not finalized; std::invalid_argument on
   /// dimension mismatch.
   [[nodiscard]] double predict(HypervectorView encoded_input) const;
 
   /// The full label-grid distance profile behind predict(): distance of
-  /// M ⊗ phi(x̂) to each label-basis vector, written to out[0..m).  The
-  /// argmin of this profile (lowest index on ties) is exactly predict()'s
-  /// decoded grid point; the whole profile feeds band_from_distances() —
-  /// the regressor's distributional head.  \p out must hold labels().size()
+  /// M ⊗ phi(x̂) to each label grid row (labels().grid_words()), i.e. of
+  /// phi(x̂) to each keyed row, written to out[0..m).  The argmin of this
+  /// profile (lowest index on ties) is exactly predict()'s decoded grid
+  /// point; the whole profile feeds band_from_distances() — the
+  /// regressor's distributional head.  \p out must hold labels().size()
   /// entries.  \throws std::logic_error if not finalized;
   /// std::invalid_argument on dimension or size mismatch.
   void label_distances(HypervectorView encoded_input,
@@ -124,6 +130,11 @@ class HDRegressor {
   /// \throws std::logic_error if not finalized.
   [[nodiscard]] const Hypervector& model() const;
 
+  /// The keyed label rows K_l = M ⊗ L_l, row l at words [l * words_for(d),
+  /// (l + 1) * words_for(d)) — the arena predict() and label_distances()
+  /// sweep with the raw query.  \throws std::logic_error if not finalized.
+  [[nodiscard]] std::span<const std::uint64_t> keyed_label_words() const;
+
  private:
   /// Restore-path shell: skips the O(dimension) accumulator and tie-breaker
   /// state an inference-only model can never reach (cold-starting a mapped
@@ -132,11 +143,18 @@ class HDRegressor {
   HDRegressor(ScalarEncoderPtr labels, restore_t);
 
   void require_trainable(const char* where) const;
+  void require_finalized(const char* where) const;
+
+  /// The one write of M: stores \p model, marks the regressor finalized and
+  /// rebuilds the keyed label rows from it.
+  void set_model(Hypervector model);
 
   ScalarEncoderPtr labels_;
   /// 1-slot placeholder on inference-only models (see restore_t).
   BundleAccumulator accumulator_;
   Hypervector model_;
+  /// K_l = M ⊗ L_l for every label grid point l; valid while finalized_.
+  AlignedWords keyed_;
   Hypervector tie_breaker_;  ///< Empty on inference-only models.
   bool finalized_ = false;
   bool inference_only_ = false;

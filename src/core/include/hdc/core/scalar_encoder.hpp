@@ -10,7 +10,9 @@
 /// returns its grid point.  `CircularScalarEncoder` (Section 5) does the
 /// same on a periodic domain, where grid point m wraps back to 0.
 
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "hdc/core/basis.hpp"
 
@@ -40,11 +42,21 @@ class ScalarEncoder {
   /// \throws std::invalid_argument if out of range.
   [[nodiscard]] virtual double value_of(std::size_t index) const = 0;
 
-  /// phi^{-1}: nearest-basis-vector cleanup followed by value_of.
-  [[nodiscard]] virtual double decode(HypervectorView query) const = 0;
+  /// phi^{-1}: nearest-grid-row cleanup (lowest index on ties) over
+  /// grid_words(), followed by value_of.
+  /// \throws std::invalid_argument on dimension mismatch.
+  [[nodiscard]] double decode(HypervectorView query) const;
 
   /// The underlying basis set.
   [[nodiscard]] virtual const Basis& basis() const noexcept = 0;
+
+  /// The packed rows decode() sweeps: row i, at words [i * words_for(d),
+  /// (i + 1) * words_for(d)), is encode(value_of(i)).  The basis arena
+  /// itself unless an encoder binds several bases per grid point.
+  [[nodiscard]] virtual std::span<const std::uint64_t> grid_words()
+      const noexcept {
+    return basis().packed_words();
+  }
 
   /// Number of grid points m.
   [[nodiscard]] std::size_t size() const noexcept { return basis().size(); }
@@ -68,7 +80,6 @@ class LinearScalarEncoder final : public ScalarEncoder {
   [[nodiscard]] HypervectorView encode(double value) const override;
   [[nodiscard]] std::size_t index_of(double value) const override;
   [[nodiscard]] double value_of(std::size_t index) const override;
-  [[nodiscard]] double decode(HypervectorView query) const override;
   [[nodiscard]] const Basis& basis() const noexcept override { return basis_; }
 
   [[nodiscard]] double low() const noexcept { return lo_; }
@@ -93,7 +104,6 @@ class CircularScalarEncoder final : public ScalarEncoder {
   [[nodiscard]] HypervectorView encode(double value) const override;
   [[nodiscard]] std::size_t index_of(double value) const override;
   [[nodiscard]] double value_of(std::size_t index) const override;
-  [[nodiscard]] double decode(HypervectorView query) const override;
   [[nodiscard]] const Basis& basis() const noexcept override { return basis_; }
 
   [[nodiscard]] double period() const noexcept { return period_; }

@@ -141,13 +141,4 @@ HypervectorView MultiScaleCircularEncoder::encode(double value) const {
                   words_per_vector_, index_of(value));
 }
 
-double MultiScaleCircularEncoder::decode(HypervectorView query) const {
-  require(query.dimension() == bases_.back().dimension(),
-          "MultiScaleCircularEncoder::decode", "query dimension mismatch");
-  return value_of(bits::nearest_hamming(query.words(), packed_.words(),
-                                        words_per_vector_,
-                                        bases_.back().size())
-                      .index);
-}
-
 }  // namespace hdc

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "hdc/base/require.hpp"
+#include "hdc/core/bitops.hpp"
 #include "hdc/core/ops.hpp"
 
 namespace hdc {
@@ -35,9 +36,8 @@ HDRegressor HDRegressor::from_model(ScalarEncoderPtr labels,
   HDRegressor restored(std::move(labels), restore_t{});
   require(model.dimension() == restored.dimension(), "HDRegressor::from_model",
           "model dimension must match the label encoder");
-  restored.model_ = std::move(model);
-  restored.finalized_ = true;
   restored.inference_only_ = true;
+  restored.set_model(std::move(model));
   return restored;
 }
 
@@ -48,6 +48,24 @@ void HDRegressor::require_trainable(const char* where) const {
         ": model restored from its quantized hypervector is inference-only "
         "(trainable() == false)");
   }
+}
+
+void HDRegressor::require_finalized(const char* where) const {
+  if (!finalized_) {
+    throw std::logic_error(std::string(where) + ": call finalize() first");
+  }
+}
+
+void HDRegressor::set_model(Hypervector model) {
+  model_ = std::move(model);
+  const std::size_t stride = bits::words_for(dimension());
+  const auto grid = labels_->grid_words();
+  keyed_.resize(labels_->size() * stride);
+  for (std::size_t l = 0; l < labels_->size(); ++l) {
+    bits::xor_rows(std::span(keyed_).subspan(l * stride, stride),
+                   model_.words(), grid.subspan(l * stride, stride));
+  }
+  finalized_ = true;
 }
 
 void HDRegressor::add_sample(HypervectorView encoded_input, double label) {
@@ -66,15 +84,12 @@ void HDRegressor::absorb(const BundleAccumulator& partial) {
 
 void HDRegressor::finalize() {
   require_trainable("HDRegressor::finalize");
-  model_ = accumulator_.finalize(tie_breaker_);
-  finalized_ = true;
+  set_model(accumulator_.finalize(tie_breaker_));
 }
 
 double HDRegressor::adapt(HypervectorView encoded_input, double target) {
   require_trainable("HDRegressor::adapt");
-  if (!finalized_) {
-    throw std::logic_error("HDRegressor::adapt: call finalize() first");
-  }
+  require_finalized("HDRegressor::adapt");
   require(encoded_input.dimension() == dimension(), "HDRegressor::adapt",
           "input dimension mismatch");
   const double predicted = predict(encoded_input);
@@ -83,36 +98,33 @@ double HDRegressor::adapt(HypervectorView encoded_input, double target) {
   if (labels_->index_of(target) != labels_->index_of(predicted)) {
     accumulator_.add(encoded_input ^ labels_->encode(target));
     accumulator_.subtract(encoded_input ^ labels_->encode(predicted));
-    model_ = accumulator_.finalize(tie_breaker_);
+    set_model(accumulator_.finalize(tie_breaker_));
   }
   return predicted;
 }
 
 double HDRegressor::predict(HypervectorView encoded_input) const {
-  if (!finalized_) {
-    throw std::logic_error("HDRegressor::predict: call finalize() first");
-  }
+  require_finalized("HDRegressor::predict");
   require(encoded_input.dimension() == dimension(), "HDRegressor::predict",
           "input dimension mismatch");
-  // M ⊗ phi(x̂) ≈ phi_l(y); the label encoder's decode() is the cleanup +
-  // inverse mapping.
-  return labels_->decode(model_ ^ encoded_input);
+  // d(q, M ⊗ L_l) = d(M ⊗ q, L_l): the nearest keyed row is the label
+  // decode() would clean M ⊗ phi(x̂) up to, found without binding q.
+  const std::size_t stride = bits::words_for(dimension());
+  const bits::NearestMatch nearest = bits::nearest_hamming(
+      encoded_input.words(), keyed_, stride, labels_->size());
+  return labels_->value_of(nearest.index);
 }
 
 void HDRegressor::label_distances(HypervectorView encoded_input,
                                   std::span<std::size_t> out) const {
-  if (!finalized_) {
-    throw std::logic_error("HDRegressor::label_distances: call finalize() first");
-  }
+  require_finalized("HDRegressor::label_distances");
   require(encoded_input.dimension() == dimension(),
           "HDRegressor::label_distances", "input dimension mismatch");
-  const Basis& basis = labels_->basis();
-  require(out.size() >= basis.size(), "HDRegressor::label_distances",
+  require(out.size() >= labels_->size(), "HDRegressor::label_distances",
           "out must hold one distance per label grid point");
-  std::vector<std::uint64_t> bound(bits::words_for(dimension()));
-  bits::xor_rows(bound, model_.words(), encoded_input.words());
-  bits::hamming_many(bound, basis.packed_words(), basis.words_per_vector(),
-                     basis.size(), out);
+  const auto query = encoded_input.words();
+  const std::size_t stride = bits::words_for(dimension());
+  bits::hamming_many(query, keyed_, stride, labels_->size(), out);
 }
 
 Band HDRegressor::predict_band(HypervectorView encoded_input) const {
@@ -145,10 +157,13 @@ double HDRegressor::predict_integer(HypervectorView encoded_input) const {
 }
 
 const Hypervector& HDRegressor::model() const {
-  if (!finalized_) {
-    throw std::logic_error("HDRegressor::model: call finalize() first");
-  }
+  require_finalized("HDRegressor::model");
   return model_;
+}
+
+std::span<const std::uint64_t> HDRegressor::keyed_label_words() const {
+  require_finalized("HDRegressor::keyed_label_words");
+  return keyed_;
 }
 
 }  // namespace hdc

@@ -4,8 +4,17 @@
 #include <cmath>
 
 #include "hdc/base/require.hpp"
+#include "hdc/core/bitops.hpp"
 
 namespace hdc {
+
+double ScalarEncoder::decode(HypervectorView query) const {
+  require(query.dimension() == dimension(), "ScalarEncoder::decode",
+          "query dimension mismatch");
+  const bits::NearestMatch nearest = bits::nearest_hamming(
+      query.words(), grid_words(), bits::words_for(dimension()), size());
+  return value_of(nearest.index);
+}
 
 LinearScalarEncoder::LinearScalarEncoder(Basis basis, double lo, double hi)
     : basis_(std::move(basis)), lo_(lo), hi_(hi) {
@@ -31,10 +40,6 @@ double LinearScalarEncoder::value_of(std::size_t index) const {
   require(index < basis_.size(), "LinearScalarEncoder::value_of",
           "index out of range");
   return lo_ + static_cast<double>(index) * step_;
-}
-
-double LinearScalarEncoder::decode(HypervectorView query) const {
-  return value_of(basis_.nearest(query));
 }
 
 CircularScalarEncoder::CircularScalarEncoder(Basis basis, double period)
@@ -65,10 +70,6 @@ double CircularScalarEncoder::value_of(std::size_t index) const {
           "index out of range");
   return static_cast<double>(index) * period_ /
          static_cast<double>(basis_.size());
-}
-
-double CircularScalarEncoder::decode(HypervectorView query) const {
-  return value_of(basis_.nearest(query));
 }
 
 }  // namespace hdc

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "hdc/base/require.hpp"
+#include "hdc/core/bitops.hpp"
 
 namespace hdc::runtime {
 
@@ -23,14 +24,21 @@ VectorArena BatchTextEncoder::encode(
   pool_->for_chunks(count, [&](std::size_t begin, std::size_t end,
                                std::size_t /*chunk*/) {
     for (std::size_t i = begin; i < end; ++i) {
-      const Hypervector hv = encode_(rows[i]);
-      require(hv.dimension() == dimension_, "BatchTextEncoder::encode",
-              "encode function returned a wrong-dimension hypervector");
-      const auto src = hv.words();
-      std::copy(src.begin(), src.end(), arena.mutable_words(i).begin());
+      encode_into(rows[i], arena.mutable_words(i));
     }
   });
   return arena;
+}
+
+void BatchTextEncoder::encode_into(std::string_view text,
+                                   std::span<std::uint64_t> out) const {
+  require(out.size() == bits::words_for(dimension_),
+          "BatchTextEncoder::encode_into",
+          "out must hold words_for(dimension) words");
+  const Hypervector hv = encode_(text);
+  require(hv.dimension() == dimension_, "BatchTextEncoder::encode_into",
+          "encode function returned a wrong-dimension hypervector");
+  std::ranges::copy(hv.words(), out.begin());
 }
 
 }  // namespace hdc::runtime

@@ -7,10 +7,10 @@
 /// Training binds each encoded input to its label vector in parallel,
 /// accumulating into per-thread BundleAccumulators that merge into the
 /// wrapped model (bit-identical to the sequential add_sample stream for any
-/// thread count).  Inference evaluates the paper-faithful readout
-/// decode(M ⊗ phi(x̂)) per arena row; the label-basis cleanup inside
-/// decode() runs on the same fused XOR+popcount kernel as every other
-/// nearest-neighbour scan in the library.
+/// thread count).  Inference is a loop over the model's per-row readout
+/// (HDRegressor::predict / label_distances): one fused XOR+popcount sweep
+/// of the arena row against the keyed label rows M ⊗ L_l, the same kernel
+/// as every other nearest-neighbour scan in the library.
 
 #include <cstddef>
 #include <cstdint>

@@ -14,6 +14,7 @@
 /// restore path does this).
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
@@ -42,6 +43,13 @@ class BatchTextEncoder {
 
   /// Encodes one sample per string.
   [[nodiscard]] VectorArena encode(std::span<const std::string> rows) const;
+
+  /// Encodes one sample into \p out (an arena slot or any caller-owned
+  /// row), overwriting it, on the calling thread; encode() calls it once
+  /// per row.  \throws std::invalid_argument if out.size() !=
+  /// bits::words_for(dimension()) or the function returns a
+  /// wrong-dimension hypervector.
+  void encode_into(std::string_view text, std::span<std::uint64_t> out) const;
 
  private:
   std::size_t dimension_;

@@ -5,14 +5,16 @@
 /// \brief The in-process Predictor: hot-swappable batch engines plus the
 /// online-adaptation overlay.
 ///
-/// Micro-batches are encoded and predicted over the `hdc::runtime` thread
-/// pool by the BatchEncoder/BatchClassifier/BatchRegressor bridges, bit-
-/// identical to calling `Pipeline::classify`/`regress` per row for any
-/// batch size and thread count.  The model sits in a `SwapState`: each
-/// batch loads the active generation and keeps it until it is answered,
-/// and `reload()` maps and fully validates the replacement off to the side
-/// before one atomic flip, so a rejected reload leaves the incumbent
-/// serving untouched.
+/// Each micro-batch is served in one `hdc::runtime` thread-pool round: a
+/// chunk encodes its rows one at a time into a chunk-local scratch row
+/// (BatchEncoder/BatchTextEncoder::encode_into) and reads the prediction
+/// off it — the classifier's class sweep or the regressor's keyed label
+/// readout — bit-identical to calling `Pipeline::classify`/`regress` per
+/// row for any batch size and thread count.  The model sits in a
+/// `SwapState`: each batch loads the active generation and keeps it until
+/// it is answered, and `reload()` maps and fully validates the replacement
+/// off to the side before one atomic flip, so a rejected reload leaves the
+/// incumbent serving untouched.
 ///
 /// Feedback (`adapt`, `export_delta`, `adapted`) lands in an `AdaptiveState`
 /// pinned to the current generation, created on first use and replaced —

@@ -1,26 +1,27 @@
 #include "hdc/serve/local_predictor.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
+#include <vector>
 
+#include "hdc/core/bitops.hpp"
+#include "hdc/core/word_storage.hpp"
 #include "hdc/io/delta.hpp"
-#include "hdc/runtime/batch_classifier.hpp"
-#include "hdc/runtime/batch_regressor.hpp"
 #include "hdc/runtime/batch_text_encoder.hpp"
 
 namespace hdc::serve {
 
 /// Everything one model generation determines.  `state` is declared first:
-/// members are destroyed in reverse order, so the engines borrowing the
-/// mapping die before the bundle that may hold its last reference.
+/// members are destroyed in reverse order, so the encoders borrowing the
+/// mapping die before the bundle that may hold its last reference.  The
+/// models are read straight off the state's pipeline.
 struct LocalPredictor::Engines {
   ServingStatePtr state;
-  /// Exactly one encoder and one model engine are engaged, per the
-  /// pipeline's input mode and kind.
+  runtime::ThreadPoolPtr pool;
+  /// Exactly one encoder is engaged, per the pipeline's input mode.
   std::optional<runtime::BatchEncoder> encoder;
   std::optional<runtime::BatchTextEncoder> text_encoder;
-  std::optional<runtime::BatchClassifier> classifier;
-  std::optional<runtime::BatchRegressor> regressor;
 };
 
 LocalPredictor::LocalPredictor(io::LoadedPipeline loaded,
@@ -66,16 +67,12 @@ std::shared_ptr<const LocalPredictor::Engines> LocalPredictor::engines_for(
   }
   auto engines = std::make_shared<Engines>();
   engines->state = state;
+  engines->pool = pool_;
   const io::Pipeline& pipeline = state->pipeline();
   if (pipeline.input() == io::PipelineInput::Text) {
     engines->text_encoder.emplace(pipeline.batch_text_encoder(pool_));
   } else {
     engines->encoder.emplace(pipeline.batch_encoder(pool_));
-  }
-  if (pipeline.kind() == io::PipelineKind::Classifier) {
-    engines->classifier.emplace(pipeline.batch_classifier(pool_));
-  } else {
-    engines->regressor.emplace(pipeline.batch_regressor(pool_));
   }
   engines_ = std::move(engines);
   return engines_;
@@ -98,29 +95,60 @@ Predictions LocalPredictor::predict(const SampleBatch& batch, HeadMode head) {
     return out;
   }
   const std::shared_ptr<const Engines> engines = engines_for(state);
-  const runtime::VectorArena encoded =
-      is_text(batch)
-          ? engines->text_encoder->encode(
-                std::get<std::span<const std::string>>(batch))
-          : engines->encoder->encode(
-                std::get<std::span<const std::vector<double>>>(batch));
-  if (engines->classifier) {
-    if (head == HeadMode::None) {
-      const std::vector<std::size_t> labels =
-          engines->classifier->predict(encoded);
-      out.predictions.assign(labels.begin(), labels.end());
-      return out;
-    }
-    for (const Top2& top2 : engines->classifier->predict_top2(encoded)) {
-      out.predictions.push_back(static_cast<double>(top2.best.index));
-      out.confidences.push_back(margin_confidence(top2));
-    }
-    return out;
+  const io::Pipeline& pipeline = state->pipeline();
+  const std::size_t count = batch_size(batch);
+  const std::size_t dimension = pipeline.dimension();
+  const bool with_head = head != HeadMode::None;
+  const bool classifies = pipeline.kind() == io::PipelineKind::Classifier;
+  out.predictions.resize(count);
+  if (with_head && classifies) {
+    out.confidences.resize(count);
+  } else if (with_head) {
+    out.bands.resize(count);
   }
-  out.predictions = engines->regressor->predict(encoded);
-  if (head != HeadMode::None) {
-    out.bands = engines->regressor->predict_band(encoded);
-  }
+  // One pool round per batch: each chunk encodes its rows one at a time
+  // into a chunk-local scratch row and reads the prediction straight off
+  // it, so no batch arena is allocated, zero-filled or read back.
+  engines->pool->for_chunks(count, [&](std::size_t begin, std::size_t end,
+                                       std::size_t /*chunk*/) {
+    AlignedWords row(bits::words_for(dimension));
+    std::vector<std::size_t> distances;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (engines->text_encoder) {
+        engines->text_encoder->encode_into(
+            std::get<std::span<const std::string>>(batch)[i], row);
+      } else {
+        engines->encoder->encode_into(
+            std::get<std::span<const std::vector<double>>>(batch)[i], row);
+      }
+      if (classifies) {
+        const CentroidClassifier& model = pipeline.classifier();
+        if (with_head) {
+          const Top2 top2 = model.predict_top2_words(row);
+          out.predictions[i] = static_cast<double>(top2.best.index);
+          out.confidences[i] = margin_confidence(top2);
+        } else {
+          out.predictions[i] = static_cast<double>(model.predict_words(row));
+        }
+        continue;
+      }
+      const HDRegressor& model = pipeline.regressor();
+      const ScalarEncoder& labels = model.labels();
+      const HypervectorView query(dimension, row);
+      if (!with_head) {
+        out.predictions[i] = model.predict(query);
+        continue;
+      }
+      // One keyed sweep serves both: the profile's first minimum is
+      // exactly predict()'s grid point.
+      distances.resize(labels.size());
+      model.label_distances(query, distances);
+      const auto nearest = std::ranges::min_element(distances);
+      const auto index = static_cast<std::size_t>(nearest - distances.begin());
+      out.predictions[i] = labels.value_of(index);
+      out.bands[i] = band_from_distances(distances, labels, dimension);
+    }
+  });
   return out;
 }
 

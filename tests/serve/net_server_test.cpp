@@ -15,9 +15,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -525,6 +528,101 @@ TEST(NetServerTest, UnixSocketServesAndControlCommandsAnswer) {
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(*line, "!ok bye");
   EXPECT_FALSE(client.read_line().has_value());
+  std::filesystem::remove(path);
+}
+
+/// Every reply line a fresh unix-socket server sends for \p stream, which
+/// is written in pieces of the given sizes (one send() each; whatever is
+/// left after the list goes in one piece).
+std::string replies_for_split_stream(const std::string& snapshot_path,
+                                     const std::string& stream,
+                                     const std::vector<std::size_t>& pieces) {
+  NetServerOptions options;
+  options.host.clear();
+  options.unix_path = temp_file("split.sock");
+  options.batch_size = 16;
+  options.flush_interval = std::chrono::microseconds(100);
+  RunningServer running(snapshot_path, options);
+  Client client(options.unix_path);
+  std::size_t at = 0;
+  for (const std::size_t piece : pieces) {
+    if (at >= stream.size()) {
+      break;
+    }
+    const std::size_t take = std::min(piece, stream.size() - at);
+    client.send(stream.substr(at, take));
+    at += take;
+    // Let the server read this piece on its own, so its line scan and
+    // deadline flushes really see the boundary.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  client.send(stream.substr(at));
+  client.shutdown_write();
+  std::string replies;
+  while (const auto line = client.read_line()) {
+    replies += *line + "\n";
+  }
+  return replies;
+}
+
+TEST(NetServerTest, RepliesDoNotDependOnHowTheStreamIsSplit) {
+  // One byte stream of data rows and control lines (`!ping`, `!adapt`,
+  // `!use adapted` / `!use base`), sent unsplit and then split at seeded
+  // random write() sizes from 1 B to 4 KiB: each run on a fresh server
+  // must get byte-identical replies.
+  const std::string path = write_beijing("split.hdcs", 2023);
+  const auto rows = beijing_rows(240);
+  const auto row_csv = [&](std::size_t i) { return as_csv({rows[i]}); };
+  std::string stream;
+  const auto add_rows = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      stream += row_csv(i);
+    }
+  };
+  add_rows(0, 50);
+  stream += "!ping\n";
+  for (std::size_t i = 0; i < 12; ++i) {
+    const std::string target = i % 2 == 0 ? "-20" : "40";
+    stream += "!adapt " + target + " " + row_csv(i * 7);
+  }
+  stream += "!use adapted\n";
+  add_rows(50, 130);
+  stream += "!adapt 40 " + row_csv(3);
+  add_rows(130, 180);
+  stream += "!use base\n";
+  add_rows(180, 240);
+  stream += "!ping\n";
+
+  const std::string unsplit = replies_for_split_stream(path, stream, {});
+  // The stream must exercise what it claims: every row answered, feedback
+  // that changed the model, and an adapted side that differs from the base.
+  std::size_t lines = 0;
+  for (const char c : unsplit) {
+    lines += c == '\n' ? 1 : 0;
+  }
+  ASSERT_EQ(lines, rows.size() + 2 + 13 + 2);
+  ASSERT_NE(unsplit.find(" updated=1 "), std::string::npos) << unsplit;
+  const auto base = oracle_lines(path, rows);
+  std::string base_replies;
+  for (std::size_t i = 50; i < 130; ++i) {
+    base_replies += base[i] + "\n";
+  }
+  ASSERT_EQ(unsplit.find(base_replies), std::string::npos)
+      << "the adapted rows equal the base model's";
+
+  for (const std::uint64_t seed : {1U, 2U, 3U}) {
+    SCOPED_TRACE("split seed " + std::to_string(seed));
+    // Log-uniform sizes in [1, 4096): mostly small writes that cut lines
+    // mid-field, with the occasional multi-line one.
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> exponent(0.0, 12.0);
+    std::vector<std::size_t> pieces;
+    for (std::size_t total = 0; total < stream.size();) {
+      pieces.push_back(static_cast<std::size_t>(std::exp2(exponent(rng))));
+      total += pieces.back();
+    }
+    EXPECT_EQ(replies_for_split_stream(path, stream, pieces), unsplit);
+  }
   std::filesystem::remove(path);
 }
 

@@ -31,6 +31,7 @@ using hdc::io::Pipeline;
 using hdc::io::SnapshotIntegrity;
 using hdc::io::SnapshotWriter;
 using hdc::serve::HeadMode;
+using hdc::serve::LocalPredictor;
 using hdc::serve::OutputFormat;
 using hdc::serve::PredictionWriter;
 using hdc::serve::Predictor;
@@ -342,6 +343,106 @@ TEST(ServerTest, BandHeadMatchesPerRowPredictBand) {
                           hdc::serve::HeadMode::Band);
   (void)server.run(reader, writer);
   EXPECT_EQ(out.str(), expected);
+}
+
+/// Process-unique classifier-pipeline snapshot (same rationale as
+/// beijing_snapshot()).
+const std::string& classifier_snapshot() {
+  static const std::string path = [] {
+    const auto stamp = static_cast<unsigned long long>(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+    const std::string file =
+        temp_file("serve_classes_" + std::to_string(stamp) + ".hdcs");
+    const fixtures::ClassifierPipeline models =
+        fixtures::make_classifier_pipeline();
+    SnapshotWriter writer;
+    writer.add_pipeline(models.encoder, models.model);
+    writer.write_file(file);
+    return file;
+  }();
+  return path;
+}
+
+/// Per-row classifier oracle for one batch: labels and top-2 candidates.
+struct ClassOracle {
+  std::vector<std::size_t> labels;
+  std::vector<hdc::Top2> tops;
+};
+
+void expect_classes_match(LocalPredictor& local,
+                          const hdc::serve::SampleBatch& batch,
+                          const ClassOracle& oracle) {
+  const auto plain = local.predict(batch, HeadMode::None);
+  const auto confident = local.predict(batch, HeadMode::Confidence);
+  ASSERT_EQ(plain.predictions.size(), oracle.labels.size());
+  ASSERT_EQ(confident.confidences.size(), oracle.labels.size());
+  for (std::size_t i = 0; i < oracle.labels.size(); ++i) {
+    const auto label = static_cast<double>(oracle.labels[i]);
+    const auto best = static_cast<double>(oracle.tops[i].best.index);
+    EXPECT_EQ(plain.predictions[i], label) << "row " << i;
+    EXPECT_EQ(confident.predictions[i], best) << "row " << i;
+    const double confidence = hdc::margin_confidence(oracle.tops[i]);
+    EXPECT_EQ(confident.confidences[i], confidence) << "row " << i;
+  }
+}
+
+TEST(ServerTest, OneRoundPredictMatchesPerRowPipeline) {
+  // LocalPredictor encodes and reads out each batch in a single pool round;
+  // predictions, bands and confidences must equal the per-row Pipeline
+  // calls for every thread count and batch shape, chunk boundaries
+  // included.
+  const auto beijing = MappedSnapshot::open(beijing_snapshot());
+  const auto classes = MappedSnapshot::open(classifier_snapshot());
+  const auto text = MappedSnapshot::open(text_snapshot());
+  const Pipeline regressor = Pipeline::restore(beijing);
+  const Pipeline classifier = Pipeline::restore(classes);
+  const Pipeline language = Pipeline::restore(text);
+  for (const std::size_t threads : {1U, 2U, 3U}) {
+    LocalPredictor local_regressor(Pipeline::restore(beijing), {}, threads);
+    LocalPredictor local_classifier(Pipeline::restore(classes), {}, threads);
+    LocalPredictor local_language(Pipeline::restore(text), {}, threads);
+    for (const std::size_t batch : {1U, 7U, 256U}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      const auto rows = beijing_rows(batch);
+      const auto plain = local_regressor.predict(rows, HeadMode::None);
+      const auto banded = local_regressor.predict(rows, HeadMode::Band);
+      ASSERT_EQ(plain.predictions.size(), batch);
+      ASSERT_EQ(banded.bands.size(), batch);
+      for (std::size_t i = 0; i < batch; ++i) {
+        const double expected = regressor.regress(rows[i]);
+        const hdc::Hypervector encoded = regressor.encode(rows[i]);
+        const hdc::Band band = regressor.regressor().predict_band(encoded);
+        EXPECT_EQ(plain.predictions[i], expected) << "row " << i;
+        EXPECT_EQ(banded.predictions[i], expected) << "row " << i;
+        EXPECT_EQ(banded.bands[i].p10, band.p10) << "row " << i;
+        EXPECT_EQ(banded.bands[i].p50, band.p50) << "row " << i;
+        EXPECT_EQ(banded.bands[i].p90, band.p90) << "row " << i;
+      }
+
+      std::vector<std::vector<double>> features(batch);
+      std::vector<std::string> lines(batch);
+      ClassOracle numeric;
+      ClassOracle language_id;
+      for (std::size_t i = 0; i < batch; ++i) {
+        for (std::size_t f = 0; f < classifier.num_features(); ++f) {
+          features[i].push_back(7.0 * i + 90.0 * f);
+        }
+        const hdc::Hypervector sample = classifier.encode(features[i]);
+        numeric.labels.push_back(classifier.classify(features[i]));
+        numeric.tops.push_back(classifier.classifier().predict_top2(sample));
+
+        lines[i] = std::string(1 + i % 4, 'a' + i % 26) + " vo miri";
+        const hdc::Hypervector line = language.encode_text(lines[i]);
+        language_id.labels.push_back(language.classify_text(lines[i]));
+        language_id.tops.push_back(language.classifier().predict_top2(line));
+      }
+      const std::span<const std::vector<double>> numeric_rows(features);
+      const std::span<const std::string> text_rows(lines);
+      expect_classes_match(local_classifier, numeric_rows, numeric);
+      expect_classes_match(local_language, text_rows, language_id);
+    }
+  }
 }
 
 TEST(ServerTest, HeadModeMustMatchThePipelineKind) {
