@@ -55,6 +55,7 @@ struct ClusterOptions {
   std::size_t replicas = 1;
   ShardScheme scheme = ShardScheme::Rows;
   CommBackend backend = CommBackend::Loopback;
+  /// Integrity check of the initial load; reloads always checksum.
   io::SnapshotIntegrity integrity = io::SnapshotIntegrity::Checksum;
   io::MappingOptions mapping{};
 };
@@ -112,7 +113,8 @@ class ShardedServer final : public serve::Predictor {
 
   /// Hot-swaps every rank to \p path ("" reloads the active source; an
   /// HDCS delta file patches the tracked base).  Validates on rank 0
-  /// first; on rejection no rank has changed.  Returns the new cluster
+  /// first, checksum included whatever `ClusterOptions::integrity` says;
+  /// on rejection no rank has changed.  Returns the new cluster
   /// generation.
   /// \throws io::SnapshotError on rejection; ClusterError if a rank failed
   /// after validation (the cluster is then inconsistent and unusable).
@@ -138,7 +140,8 @@ class ShardedServer final : public serve::Predictor {
   /// The last *full* snapshot the cluster loaded (delta reloads keep it).
   [[nodiscard]] std::string base_path() const;
 
-  /// Last generation every rank agreed on.
+  /// The cluster generation, read off rank 0 (every reload and predict
+  /// checks that the other ranks agree).
   [[nodiscard]] std::uint64_t generation() const override;
 
   /// Path serving the current generation.
@@ -174,9 +177,6 @@ class ShardedServer final : public serve::Predictor {
   io::PipelineInput input_{};
   std::size_t num_features_ = 0;
   mutable std::mutex mutex_;
-  std::uint64_t generation_ = 1;
-  std::string source_path_;
-  std::string base_path_;
 };
 
 }  // namespace hdc::cluster

@@ -5,11 +5,13 @@
 /// \brief One rank's compute engine and the framed request protocol.
 ///
 /// A `Worker` is the rank-local half of the cluster: it maps the snapshot
-/// itself (so N fork workers share one page-cache copy of the model bytes),
-/// restores the pipeline, and answers framed requests.  The same class runs
-/// in-process (loopback backend, and rank 0 of the fork backend) and inside
-/// forked children — `handle()` is the single entry point either way, so
-/// the loopback backend is a true oracle for the fork transport.
+/// itself (so N fork workers share one page-cache copy of the model bytes)
+/// into a `serve::LocalPredictor` — the single-process serving stack — and
+/// answers framed requests by decoding each frame into that predictor's
+/// calls.  The same class runs in-process (loopback backend, and rank 0 of
+/// the fork backend) and inside forked children — `handle()` is the single
+/// entry point either way, so the loopback backend is a true oracle for the
+/// fork transport.
 ///
 /// The wire protocol is deliberately minimal: every request and response is
 /// one length-prefixed frame (`comm.hpp` owns the framing); the payload
@@ -56,36 +58,33 @@
 ///
 /// Under the `Classes` scheme a worker never produces final predictions: it
 /// returns its slice's best `(distance, global index)` per row — the
-/// classifier scans class-vectors [shard_begin, shard_end), the regressor
-/// binds `model ⊗ phi(x̂)` and scans its slice of the label basis — and the
-/// coordinator reduces and maps the winning index back to a label or value.
-/// An empty slice (more ranks than classes) reports the all-ones sentinel,
-/// which never wins a reduce.
+/// classifier sweeps class-vectors [shard_begin, shard_end), the regressor
+/// the keyed label rows `M ⊗ L_l` of its slice — and the coordinator
+/// reduces and maps the winning index back to a label or value.  An empty
+/// slice (more ranks than classes) reports the all-ones sentinel, which
+/// never wins a reduce.
 ///
 /// ## Online adaptation
 ///
 /// `Adapt` broadcasts one feedback sample to every rank; each rank applies
-/// it to a rank-local copy-on-write overlay (hdc/core/adaptive.hpp) seeded
-/// with the shared `kDefaultAdaptSeed`, so overlays are bit-identical
-/// across ranks by construction and every later `Predict2` serves the
-/// adapted model without further coordination.  `DeltaRows` reports the
-/// rank's current model rows that differ from the tracked *base* snapshot
-/// file (the last full snapshot loaded), which the coordinator verifies are
-/// identical on every rank before writing a delta file.  Any reload drops
-/// the overlay: its feedback targeted the retired generation.
+/// it to its predictor's `serve::AdaptiveState` overlay, seeded with the
+/// shared `kDefaultAdaptSeed`, so overlays are bit-identical across ranks
+/// by construction.  `Predict2` serves the overlay from the first accepted
+/// sample until the next reload retires it.  `DeltaRows` reports the
+/// overlay's `changed_rows()` — its diff against the last full snapshot
+/// file loaded — which the coordinator verifies are identical on every
+/// rank before writing a delta file.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "hdc/cluster/shard.hpp"
-#include "hdc/core/adaptive.hpp"
-#include "hdc/core/hypervector.hpp"
-#include "hdc/io/reload.hpp"
 #include "hdc/io/snapshot.hpp"
+#include "hdc/serve/local_predictor.hpp"
 
 namespace hdc::cluster {
 
@@ -114,9 +113,11 @@ inline constexpr std::uint8_t kWorkerErr = 1;
 /// every lexicographic reduce against a real candidate.
 inline constexpr std::uint64_t kNoCandidate = ~std::uint64_t{0};
 
-/// One rank of the cluster: a mapped snapshot, its restored pipeline, and
-/// the request dispatcher.  Not thread-safe; each rank is single-threaded
-/// by construction (parallelism comes from the process fan-out).
+/// One rank of the cluster: a `serve::LocalPredictor` over the mapped
+/// snapshot and the request dispatcher.  Not thread-safe; each rank is
+/// single-threaded by construction (parallelism comes from the process
+/// fan-out): its predictor's pool has one worker, whose rounds run on the
+/// thread that calls `handle()`.
 class Worker {
  public:
   struct Config {
@@ -124,6 +125,7 @@ class Worker {
     std::size_t rank = 0;
     std::size_t replicas = 1;
     ShardScheme scheme = ShardScheme::Rows;
+    /// Integrity check of the initial load; reloads always checksum.
     io::SnapshotIntegrity integrity = io::SnapshotIntegrity::Checksum;
     io::MappingOptions mapping{};
   };
@@ -141,22 +143,20 @@ class Worker {
 
   [[nodiscard]] bool shutdown_requested() const noexcept { return shutdown_; }
   [[nodiscard]] std::size_t rank() const noexcept { return cfg_.rank; }
-  [[nodiscard]] std::size_t replicas() const noexcept { return cfg_.replicas; }
-  [[nodiscard]] ShardScheme scheme() const noexcept { return cfg_.scheme; }
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
-  }
-  [[nodiscard]] const io::Pipeline& pipeline() const noexcept {
-    return loaded_.pipeline;
-  }
-  [[nodiscard]] const std::string& source_path() const noexcept {
-    return source_path_;
-  }
 
-  /// The last *full* snapshot this rank loaded — what delta reloads patch
-  /// against and what `DeltaRows` diffs against.
-  [[nodiscard]] const std::string& base_path() const noexcept {
-    return base_path_;
+  /// The wire generation: the predictor's, counted from 1.
+  [[nodiscard]] std::uint64_t generation() const {
+    return predictor_.generation() + 1;
+  }
+  /// The serving pipeline; the reference lives until the next reload.
+  [[nodiscard]] const io::Pipeline& pipeline() const {
+    return predictor_.state()->pipeline();
+  }
+  [[nodiscard]] std::string source_path() const { return predictor_.source(); }
+  /// The last *full* snapshot loaded: what delta reloads patch and what
+  /// `DeltaRows` diffs against.
+  [[nodiscard]] std::string base_path() const {
+    return predictor_.state()->base_path();
   }
 
  private:
@@ -164,25 +164,26 @@ class Worker {
   [[nodiscard]] std::string handle_reload(std::string_view body);
   [[nodiscard]] std::string handle_adapt(std::string_view body);
   [[nodiscard]] std::string handle_delta_rows();
-  void predict_rows(std::span<const Hypervector> encoded, bool head,
-                    std::string& out) const;
-  void predict_classes(std::span<const Hypervector> encoded, bool head,
-                       std::string& out) const;
-  /// Row \p index of the model this rank currently serves: the overlay row
-  /// when adapted, else the restored pipeline's row.
-  [[nodiscard]] std::span<const std::uint64_t> current_model_row(
-      std::size_t index) const;
+  /// Decodes the \p nrows rows of \p nfeat features after a frame's
+  /// 17-byte header into the reused row slots.  \throws
+  /// std::invalid_argument(\p truncated) unless they fill the frame exactly.
+  [[nodiscard]] serve::SampleBatch numeric_rows(std::string_view body,
+                                                std::size_t nrows,
+                                                std::size_t nfeat,
+                                                const char* truncated);
+  /// The Classes-scheme slice sweep over \p state's arenas, or over
+  /// \p overlay's when the rank has accepted feedback (else null).
+  void predict_classes(const serve::ServingStatePtr& state,
+                       const serve::AdaptiveState* overlay,
+                       const serve::SampleBatch& batch, bool head,
+                       std::string& out);
 
   Config cfg_;
-  io::LoadedPipeline loaded_;
-  std::string source_path_;
-  std::string base_path_;
-  /// Rank-local adaptation overlay (at most one non-null, matching the
-  /// pipeline kind); null until the first Adapt after a (re)load.
-  std::unique_ptr<AdaptiveClassifier> adaptive_classifier_;
-  std::unique_ptr<AdaptiveRegressor> adaptive_regressor_;
-  std::uint64_t generation_ = 1;
-  std::uint64_t rows_ = 0;
+  serve::LocalPredictor predictor_;
+  /// Row slots reused across frames, as MicroBatcher's are.
+  std::vector<std::vector<double>> rows_;
+  std::vector<std::string> texts_;
+  std::uint64_t rows_served_ = 0;
   std::uint64_t batches_ = 0;
   bool shutdown_ = false;
 };

@@ -23,11 +23,9 @@ constexpr std::size_t kDataOffset = 17;
 
 ShardedServer::ShardedServer(std::string snapshot_path,
                              ClusterOptions options)
-    : options_(options),
-      source_path_(std::move(snapshot_path)),
-      base_path_(source_path_) {
+    : options_(options) {
   Worker::Config base;
-  base.snapshot_path = source_path_;
+  base.snapshot_path = std::move(snapshot_path);
   base.scheme = options_.scheme;
   base.integrity = options_.integrity;
   base.mapping = options_.mapping;
@@ -312,14 +310,17 @@ serve::Predictions ShardedServer::gather_heads(
 
 std::uint64_t ShardedServer::reload(const std::string& path) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::string resolved = path.empty() ? source_path_ : path;
-  const bool is_delta = io::snapshot_is_delta(resolved);
+  const Worker& local = comm_->local_worker();
+  const std::string resolved = path.empty() ? local.source_path() : path;
   // Validate on rank 0 before any rank flips: a rejected snapshot must
-  // leave the whole cluster serving the incumbent generation.
+  // leave the whole cluster serving the incumbent generation.  A hot swap
+  // never trusts unvetted bytes, so this checksums even under Trust, as
+  // every rank's own reload does.
   {
     const io::LoadedPipeline trial = io::load_pipeline_or_delta(
-        resolved, base_path_, options_.integrity, options_.mapping);
-    io::ensure_swappable(trial.pipeline, comm_->local_worker().pipeline());
+        resolved, local.base_path(), io::SnapshotIntegrity::Checksum,
+        options_.mapping);
+    io::ensure_swappable(trial.pipeline, local.pipeline());
   }
   const std::vector<std::string> responses = checked_exchange(
       std::vector<std::string>(comm_->size(), encode_reload_request(resolved)),
@@ -329,11 +330,6 @@ std::uint64_t ShardedServer::reload(const std::string& path) {
     if (get_u64(responses[rank], 1) != generation) {
       throw ClusterError{"cluster reload: generation diverged across ranks"};
     }
-  }
-  generation_ = generation;
-  source_path_ = resolved;
-  if (!is_delta) {
-    base_path_ = resolved;
   }
   return generation;
 }
@@ -387,12 +383,13 @@ std::uint64_t ShardedServer::export_delta(const std::string& out_path) {
           "cluster delta export: changed rows diverged across ranks"};
     }
   }
+  const std::string base_path = comm_->local_worker().base_path();
   const std::string& r = responses[0];
   const std::uint64_t nrows = get_u64(r, 9);
   const std::uint64_t wpr = get_u64(r, 17);
   if (nrows == 0) {
     throw std::runtime_error{
-        "delta export: the adapted model does not differ from " + base_path_};
+        "delta export: the adapted model does not differ from " + base_path};
   }
   if (r.size() != 25 + nrows * (8 + wpr * 8)) {
     throw ClusterError{"cluster delta export: truncated row payload"};
@@ -407,27 +404,27 @@ std::uint64_t ShardedServer::export_delta(const std::string& out_path) {
     at += wpr * 8;
     rows.emplace(index, std::move(words));
   }
-  const io::MappedSnapshot base = io::MappedSnapshot::open(base_path_);
+  const io::MappedSnapshot base = io::MappedSnapshot::open(base_path);
   const std::size_t section = io::find_model_section(base);
   io::write_delta_file(
-      io::make_delta(base, io::snapshot_file_hash(base_path_), section, rows),
+      io::make_delta(base, io::snapshot_file_hash(base_path), section, rows),
       out_path);
   return nrows;
 }
 
 std::string ShardedServer::base_path() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return base_path_;
+  return comm_->local_worker().base_path();
 }
 
 std::uint64_t ShardedServer::generation() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return generation_;
+  return comm_->local_worker().generation();
 }
 
 std::string ShardedServer::source() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return source_path_;
+  return comm_->local_worker().source_path();
 }
 
 std::vector<RankStats> ShardedServer::rank_stats() {

@@ -1,20 +1,22 @@
 #include "hdc/cluster/worker.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "hdc/core/adaptive.hpp"
 #include "hdc/core/bitops.hpp"
 #include "hdc/core/classifier.hpp"
 #include "hdc/core/confidence.hpp"
 #include "hdc/core/hypervector.hpp"
 #include "hdc/core/regressor.hpp"
-#include "hdc/io/delta.hpp"
-#include "hdc/io/reload.hpp"
+#include "hdc/runtime/thread_pool.hpp"
 
 namespace hdc::cluster {
 
@@ -181,10 +183,10 @@ std::string encode_adapt_text_request(double target, std::string_view text) {
 
 Worker::Worker(Config cfg)
     : cfg_(std::move(cfg)),
-      loaded_(io::load_pipeline(cfg_.snapshot_path, cfg_.integrity,
-                                cfg_.mapping)),
-      source_path_(cfg_.snapshot_path),
-      base_path_(cfg_.snapshot_path) {
+      predictor_(io::load_pipeline(cfg_.snapshot_path, cfg_.integrity,
+                                   cfg_.mapping),
+                 cfg_.snapshot_path, std::make_shared<runtime::ThreadPool>(1),
+                 1, cfg_.mapping) {
   if (cfg_.replicas == 0) {
     throw std::invalid_argument{"cluster worker: replicas must be >= 1"};
   }
@@ -209,8 +211,8 @@ std::string Worker::handle(std::string_view request) {
       case WorkerOp::Stats: {
         std::string out(1, static_cast<char>(kWorkerOk));
         put_u64(out, cfg_.rank);
-        put_u64(out, generation_);
-        put_u64(out, rows_);
+        put_u64(out, generation());
+        put_u64(out, rows_served_);
         put_u64(out, batches_);
         return out;
       }
@@ -230,94 +232,103 @@ std::string Worker::handle(std::string_view request) {
   }
 }
 
+serve::SampleBatch Worker::numeric_rows(std::string_view body,
+                                        std::size_t nrows, std::size_t nfeat,
+                                        const char* truncated) {
+  // Divide, never multiply: a forged row count must not wrap the length
+  // check before the slots are sized.
+  constexpr std::size_t at = 17;
+  const std::size_t row_bytes = std::max<std::size_t>(nfeat, 1) * 8;
+  const std::size_t payload = body.size() - at;
+  if (payload % row_bytes != 0 || payload / row_bytes != nrows) {
+    throw std::invalid_argument{truncated};
+  }
+  if (rows_.size() < nrows) {
+    rows_.resize(nrows);
+  }
+  for (std::size_t i = 0; i < nrows; ++i) {
+    rows_[i].resize(nfeat);
+    std::memcpy(rows_[i].data(), body.data() + at + i * nfeat * 8, nfeat * 8);
+  }
+  return std::span<const std::vector<double>>(rows_).first(nrows);
+}
+
 std::string Worker::handle_predict2(std::string_view body) {
-  const bool text = request_mode(body, kPredictFlagText | kPredictFlagHead,
-                                 loaded_.pipeline, "predict");
+  const serve::ServingStatePtr state = predictor_.state();
+  const io::Pipeline& p = state->pipeline();
+  const bool text =
+      request_mode(body, kPredictFlagText | kPredictFlagHead, p, "predict");
   const bool head =
       (static_cast<std::uint8_t>(body[0]) & kPredictFlagHead) != 0;
-  const io::Pipeline& p = loaded_.pipeline;
   const std::size_t nrows = get_u64(body, 1);
-  std::vector<Hypervector> encoded;
+  serve::SampleBatch batch;
   if (text) {
     std::size_t at = 9;
     for (std::size_t i = 0; i < nrows; ++i) {
-      encoded.push_back(
-          p.encode_text(text_field(body, at, "predict: truncated text row")));
+      const std::string_view row =
+          text_field(body, at, "predict: truncated text row");
+      if (i == texts_.size()) {
+        texts_.emplace_back();
+      }
+      texts_[i].assign(row);
     }
     if (at != body.size()) {
       throw std::invalid_argument{"predict: trailing bytes after text rows"};
     }
+    batch = std::span<const std::string>(texts_).first(nrows);
   } else {
     const std::size_t nfeat = get_u64(body, 9);
     if (nfeat != p.num_features()) {
       throw std::invalid_argument{"predict: feature arity mismatch"};
     }
-    if (body.size() != 17 + nrows * nfeat * 8) {
-      throw std::invalid_argument{"predict: truncated row payload"};
-    }
-    encoded.reserve(nrows);
-    std::vector<double> row(nfeat);
-    for (std::size_t i = 0; i < nrows; ++i) {
-      std::memcpy(row.data(), body.data() + 17 + i * nfeat * 8, nfeat * 8);
-      encoded.push_back(p.encode(row));
-    }
+    batch = numeric_rows(body, nrows, nfeat, "predict: truncated row payload");
   }
 
   std::string out;
   out.push_back(static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
+  put_u64(out, generation());
   put_u64(out, nrows);
-  if (cfg_.scheme == ShardScheme::Rows) {
-    predict_rows(encoded, head, out);
+  // A rank serves its overlay from the first accepted feedback sample on:
+  // every rank applied the same feedback deterministically, so this stays
+  // bit-identical across the fleet.
+  const serve::AdaptiveStatePtr overlay = predictor_.overlay();
+  const bool adapted = overlay->feedback_rows() != 0;
+  if (cfg_.scheme == ShardScheme::Classes) {
+    predict_classes(state, adapted ? overlay.get() : nullptr, batch, head,
+                    out);
   } else {
-    predict_classes(encoded, head, out);
+    const bool classifies = p.kind() == io::PipelineKind::Classifier;
+    serve::HeadMode mode = serve::HeadMode::None;
+    if (head) {
+      mode = classifies ? serve::HeadMode::Confidence : serve::HeadMode::Band;
+    }
+    serve::Predictor& model =
+        adapted ? static_cast<serve::Predictor&>(*overlay) : predictor_;
+    const serve::Predictions answers = model.predict(batch, mode);
+    for (std::size_t i = 0; i < nrows; ++i) {
+      put_f64(out, answers.predictions[i]);
+      if (head && classifies) {
+        put_f64(out, answers.confidences[i]);
+      } else if (head) {
+        put_f64(out, answers.bands[i].p10);
+        put_f64(out, answers.bands[i].p50);
+        put_f64(out, answers.bands[i].p90);
+      }
+    }
   }
-  rows_ += nrows;
+  rows_served_ += nrows;
   ++batches_;
   return out;
 }
 
-void Worker::predict_rows(std::span<const Hypervector> encoded, bool head,
-                          std::string& out) const {
-  const io::Pipeline& p = loaded_.pipeline;
+void Worker::predict_classes(const serve::ServingStatePtr& state,
+                             const serve::AdaptiveState* overlay,
+                             const serve::SampleBatch& batch, bool head,
+                             std::string& out) {
+  const io::Pipeline& p = state->pipeline();
   const bool classifies = p.kind() == io::PipelineKind::Classifier;
-  for (const Hypervector& query : encoded) {
-    // An adapted rank serves its overlay immediately: every rank applied
-    // the same feedback deterministically, so this stays bit-identical
-    // across the fleet.
-    if (classifies) {
-      if (head) {
-        const Top2 top = adaptive_classifier_ != nullptr
-                             ? adaptive_classifier_->predict_top2(query)
-                             : p.classifier().predict_top2(query);
-        put_f64(out, static_cast<double>(top.best.index));
-        put_f64(out, margin_confidence(top));
-      } else if (adaptive_classifier_ != nullptr) {
-        put_f64(out,
-                static_cast<double>(adaptive_classifier_->predict(query)));
-      } else {
-        put_f64(out, static_cast<double>(p.classifier().predict(query)));
-      }
-    } else {
-      put_f64(out, adaptive_regressor_ != nullptr
-                       ? adaptive_regressor_->predict(query)
-                       : p.regressor().predict(query));
-      if (head) {
-        const Band band = adaptive_regressor_ != nullptr
-                              ? adaptive_regressor_->predict_band(query)
-                              : p.regressor().predict_band(query);
-        put_f64(out, band.p10);
-        put_f64(out, band.p50);
-        put_f64(out, band.p90);
-      }
-    }
-  }
-}
-
-void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
-                             std::string& out) const {
-  const io::Pipeline& p = loaded_.pipeline;
-  const bool classifies = p.kind() == io::PipelineKind::Classifier;
+  const AdaptiveClassifier* adaptive =
+      overlay != nullptr ? overlay->classifier() : nullptr;
   // The scanned arena: class-vectors for a classifier, the (possibly
   // adapted) model's keyed label rows M ⊗ L_l for a regressor — either way
   // the raw query is swept, with no per-row unbinding.
@@ -330,9 +341,9 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
     stride = model.words_per_class();
     candidates = model.num_classes();
   } else {
-    const HDRegressor& model =
-        adaptive_regressor_ != nullptr ? adaptive_regressor_->current()
-                                       : p.regressor();
+    const HDRegressor& model = overlay != nullptr
+                                   ? overlay->regressor()->current()
+                                   : p.regressor();
     arena = model.keyed_label_words();
     stride = bits::words_for(model.dimension());
     candidates = model.labels().size();
@@ -345,194 +356,99 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
     // profiles concatenated in rank order rebuild the full grid profile.
     put_u64(out, end - begin);
   }
-  for (const Hypervector& query : encoded) {
-    if (begin == end) {
-      // Empty slice (more ranks than candidates): all-ones sentinels for
-      // candidate frames, zero-width profiles for regressor heads.
-      if (!classifies && head) {
-        continue;
-      }
-      const int sentinels = classifies && head ? 4 : 2;
-      for (int k = 0; k < sentinels; ++k) {
-        put_u64(out, kNoCandidate);
-      }
-      continue;
+  if (begin == end) {
+    // Empty slice (more ranks than candidates): all-ones sentinels for
+    // candidate frames, zero-width profiles for regressor heads.
+    const std::size_t sentinels =
+        classifies ? (head ? 4 : 2) : (head ? 0 : 2);
+    for (std::size_t k = 0; k < serve::batch_size(batch) * sentinels; ++k) {
+      put_u64(out, kNoCandidate);
     }
-    if (classifies) {
-      if (head) {
-        const Top2 top =
-            adaptive_classifier_ != nullptr
-                ? adaptive_classifier_->top2_in_slice(query, begin, end)
-                : top2_hamming(query.words(), arena.subspan(begin * stride),
-                               stride, end - begin, begin);
-        put_u64(out, top.best.distance);
-        put_u64(out, top.best.index);
-        put_u64(out, top.second.distance);
-        put_u64(out, top.second.index);
-      } else if (adaptive_classifier_ != nullptr) {
-        // The overlay scan substitutes adapted rows inside the slice and
-        // returns the global index directly.
-        const auto [distance, index] =
-            adaptive_classifier_->nearest_in_slice(query, begin, end);
-        put_u64(out, distance);
-        put_u64(out, index);
-      } else {
-        const bits::NearestMatch best = bits::nearest_hamming(
-            query.words(), arena.subspan(begin * stride), stride,
-            end - begin);
-        put_u64(out, best.distance);
-        put_u64(out, begin + best.index);
-      }
-      continue;
-    }
-    const auto words = query.words();
-    if (head) {
-      for (std::size_t j = begin; j < end; ++j) {
-        put_u64(out, bits::hamming(words, arena.subspan(j * stride, stride)));
-      }
-    } else {
-      const bits::NearestMatch best = bits::nearest_hamming(
-          words, arena.subspan(begin * stride), stride, end - begin);
-      put_u64(out, best.distance);
-      put_u64(out, begin + best.index);
-    }
+    return;
   }
+  predictor_.for_each_encoded(
+      state, batch, [&](std::size_t /*row*/, HypervectorView query) {
+        const auto words = query.words();
+        if (classifies && head) {
+          const Top2 top =
+              adaptive != nullptr
+                  ? adaptive->top2_in_slice(query, begin, end)
+                  : top2_hamming(words, arena.subspan(begin * stride), stride,
+                                 end - begin, begin);
+          put_u64(out, top.best.distance);
+          put_u64(out, top.best.index);
+          put_u64(out, top.second.distance);
+          put_u64(out, top.second.index);
+        } else if (adaptive != nullptr) {
+          // The overlay scan substitutes adapted rows inside the slice and
+          // returns the global index directly.
+          const auto [distance, index] =
+              adaptive->nearest_in_slice(query, begin, end);
+          put_u64(out, distance);
+          put_u64(out, index);
+        } else if (!classifies && head) {
+          for (std::size_t j = begin; j < end; ++j) {
+            put_u64(out,
+                    bits::hamming(words, arena.subspan(j * stride, stride)));
+          }
+        } else {
+          const bits::NearestMatch best = bits::nearest_hamming(
+              words, arena.subspan(begin * stride), stride, end - begin);
+          put_u64(out, best.distance);
+          put_u64(out, begin + best.index);
+        }
+      });
 }
 
 std::string Worker::handle_reload(std::string_view body) {
   const std::size_t len = get_u64(body, 0);
-  if (body.size() != 8 + len) {
+  if (body.size() - 8 != len) {
     throw std::invalid_argument{"reload: truncated path"};
   }
-  std::string path(body.substr(8, len));
-  if (path.empty()) {
-    path = source_path_;
-  }
-  const bool is_delta = io::snapshot_is_delta(path);
-  io::LoadedPipeline fresh =
-      io::load_pipeline_or_delta(path, base_path_, cfg_.integrity,
-                                 cfg_.mapping);
-  io::ensure_swappable(fresh.pipeline, loaded_.pipeline);
-  loaded_ = std::move(fresh);
-  source_path_ = std::move(path);
-  if (!is_delta) {
-    base_path_ = source_path_;
-  }
-  // Any reload retires the overlay: its feedback targeted the old
-  // generation.  (A delta reload of the overlay's own export serves the
-  // identical model, now without the overlay indirection.)
-  adaptive_classifier_.reset();
-  adaptive_regressor_.reset();
-  ++generation_;
+  // "" re-reads the active source; the swap checks kind and arity, and a
+  // delta file patches the tracked base.
+  (void)predictor_.reload(std::string(body.substr(8)));
   std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
+  put_u64(out, generation());
   return out;
 }
 
 std::string Worker::handle_adapt(std::string_view body) {
-  const bool text =
-      request_mode(body, kPredictFlagText, loaded_.pipeline, "adapt");
+  const io::Pipeline& p = pipeline();
+  const bool text = request_mode(body, kPredictFlagText, p, "adapt");
   const double target = get_f64(body, 1);
-  const io::Pipeline& p = loaded_.pipeline;
-  Hypervector encoded;
+  serve::Sample sample;
   if (text) {
     std::size_t at = 9;
-    const std::string_view sample =
-        text_field(body, at, "adapt: truncated text payload");
+    sample = text_field(body, at, "adapt: truncated text payload");
     if (at != body.size()) {
       throw std::invalid_argument{"adapt: trailing bytes after the text"};
     }
-    encoded = p.encode_text(sample);
   } else {
     const std::size_t nfeat = get_u64(body, 9);
     if (nfeat != p.num_features()) {
       throw std::invalid_argument{"adapt: feature arity mismatch"};
     }
-    if (body.size() != 17 + nfeat * 8) {
-      throw std::invalid_argument{"adapt: truncated feature payload"};
-    }
-    std::vector<double> row(nfeat);
-    std::memcpy(row.data(), body.data() + 17, nfeat * 8);
-    encoded = p.encode(row);
+    sample = std::span<const double>(
+        std::get<std::span<const std::vector<double>>>(numeric_rows(
+            body, 1, nfeat, "adapt: truncated feature payload"))[0]);
   }
-  // Validate before lazily creating the overlay so a rejected sample
-  // leaves the rank exactly as it was (every rank must stay in lockstep).
-  std::size_t label = 0;
-  if (p.kind() == io::PipelineKind::Classifier) {
-    label = checked_class_label(target, p.classifier().num_classes());
-  }
-  double predicted = 0.0;
-  std::uint64_t feedback = 0;
-  std::uint64_t updates = 0;
-  std::uint64_t overlay_rows = 0;
-  std::uint64_t before = 0;
-  if (p.kind() == io::PipelineKind::Classifier) {
-    if (adaptive_classifier_ == nullptr) {
-      adaptive_classifier_ = std::make_unique<AdaptiveClassifier>(
-          p.classifier_ptr(), kDefaultAdaptSeed);
-    }
-    before = adaptive_classifier_->updates();
-    predicted =
-        static_cast<double>(adaptive_classifier_->adapt(label, encoded));
-    feedback = adaptive_classifier_->feedback_rows();
-    updates = adaptive_classifier_->updates();
-    overlay_rows = adaptive_classifier_->touched_classes();
-  } else {
-    if (adaptive_regressor_ == nullptr) {
-      adaptive_regressor_ = std::make_unique<AdaptiveRegressor>(
-          p.regressor_ptr(), kDefaultAdaptSeed);
-    }
-    before = adaptive_regressor_->updates();
-    predicted = adaptive_regressor_->adapt(encoded, target);
-    feedback = adaptive_regressor_->feedback_rows();
-    updates = adaptive_regressor_->updates();
-    overlay_rows = adaptive_regressor_->touched() ? 1 : 0;
-  }
+  const serve::AdaptOutcome outcome = predictor_.adapt(sample, target);
   std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
-  put_f64(out, predicted);
-  put_u64(out, updates != before ? 1 : 0);
-  put_u64(out, feedback);
-  put_u64(out, updates);
-  put_u64(out, overlay_rows);
+  put_u64(out, generation());
+  put_f64(out, outcome.predicted);
+  put_u64(out, outcome.updated ? 1 : 0);
+  put_u64(out, outcome.feedback_rows);
+  put_u64(out, outcome.updates);
+  put_u64(out, outcome.overlay_rows);
   return out;
 }
 
-std::span<const std::uint64_t> Worker::current_model_row(
-    std::size_t index) const {
-  if (adaptive_classifier_ != nullptr) {
-    return adaptive_classifier_->class_row(index);
-  }
-  if (adaptive_regressor_ != nullptr) {
-    return adaptive_regressor_->model_words();
-  }
-  const io::Pipeline& p = loaded_.pipeline;
-  if (p.kind() == io::PipelineKind::Classifier) {
-    const CentroidClassifier& model = p.classifier();
-    return model.packed_class_words().subspan(
-        index * model.words_per_class(), model.words_per_class());
-  }
-  return p.regressor().model().words();
-}
-
 std::string Worker::handle_delta_rows() {
-  // Diff against the base *file*, not the in-memory base model: rows a
-  // delta reload already changed must stay in the next patch, and overlay
-  // rows that drifted back to the base must drop out.
-  const io::MappedSnapshot base = io::MappedSnapshot::open(base_path_);
-  const std::size_t section = io::find_model_section(base);
-  const io::SectionRecord& record = base.section(section);
-  const std::size_t dimension = loaded_.pipeline.dimension();
-  if (record.dimension != dimension) {
-    throw std::invalid_argument{
-        "delta rows: base snapshot dimension disagrees with the serving "
-        "model"};
-  }
-  const auto rows = io::diff_rows(
-      base, section, [this](std::size_t i) { return current_model_row(i); });
-  const std::uint64_t wpr = (dimension + 63) / 64;
+  const auto rows = predictor_.overlay()->changed_rows();
+  const std::uint64_t wpr = bits::words_for(pipeline().dimension());
   std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
+  put_u64(out, generation());
   put_u64(out, rows.size());
   put_u64(out, wpr);
   for (const auto& [index, words] : rows) {

@@ -10,6 +10,10 @@
 /// API is defined so its result is identical for any worker count — either
 /// each index writes its own output slot, or per-chunk accumulators are
 /// merged with commutative integer addition.
+///
+/// A one-worker pool spawns no thread: each round runs on the calling
+/// thread, since handing one chunk to one worker only adds a wake-up and a
+/// join to the round.
 
 #include <condition_variable>
 #include <cstddef>
@@ -25,9 +29,10 @@ namespace hdc::runtime {
 class ThreadPool {
  public:
   /// Spawns \p num_threads workers; 0 picks std::thread::hardware_concurrency
-  /// (at least 1).  \throws std::invalid_argument when num_threads exceeds
-  /// max_threads() — rejecting an absurd count up front beats spawning
-  /// thousands of threads before std::thread finally fails.
+  /// (at least 1), and a one-worker pool spawns none (see the file comment).
+  /// \throws std::invalid_argument when num_threads exceeds max_threads() —
+  /// rejecting an absurd count up front beats spawning thousands of threads
+  /// before std::thread finally fails.
   explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Upper bound accepted by the constructor.
@@ -40,13 +45,14 @@ class ThreadPool {
 
   ~ThreadPool();
 
-  /// Number of worker threads.
-  [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
+  /// Number of workers (chunks a round may use).
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Splits [0, count) into num_chunks(count) contiguous chunks and runs
-  /// fn(chunk_begin, chunk_end, chunk_index) on the workers; blocks until all
-  /// chunks complete.  Chunk boundaries are deterministic in (count, size()).
-  /// The first exception thrown by any chunk is rethrown on the caller.
+  /// fn(chunk_begin, chunk_end, chunk_index) on the workers (on the caller
+  /// for a one-worker pool); blocks until all chunks complete.  Chunk
+  /// boundaries are deterministic in (count, size()).  The first exception
+  /// thrown by any chunk is rethrown on the caller.
   /// \throws std::logic_error when called from inside one of this pool's own
   /// worker chunks (the nested round could never be scheduled: the outer
   /// round holds the pool until it finishes — a silent deadlock otherwise).
@@ -67,7 +73,8 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  std::vector<std::thread> threads_;
+  std::size_t size_ = 0;
+  std::vector<std::thread> threads_;  ///< Empty for a one-worker pool.
   std::mutex submit_mutex_;  ///< Serializes concurrent for_chunks callers.
   std::mutex mutex_;
   std::condition_variable work_ready_;

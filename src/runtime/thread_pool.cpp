@@ -21,12 +21,15 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
         "ThreadPool: num_threads " + std::to_string(num_threads) +
         " exceeds the supported maximum of " + std::to_string(max_threads()));
   }
-  std::size_t n = num_threads;
-  if (n == 0) {
-    n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  size_ = num_threads;
+  if (size_ == 0) {
+    size_ = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  if (size_ == 1) {
+    return;
+  }
+  threads_.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -54,7 +57,7 @@ std::pair<std::size_t, std::size_t> ThreadPool::chunk_range(
 }
 
 std::size_t ThreadPool::num_chunks(std::size_t count) const noexcept {
-  return std::min(count, threads_.size());
+  return std::min(count, size_);
 }
 
 void ThreadPool::for_chunks(
@@ -70,6 +73,19 @@ void ThreadPool::for_chunks(
   }
   // One fork-join round at a time; concurrent callers queue up here.
   const std::lock_guard<std::mutex> submit_lock(submit_mutex_);
+  if (threads_.empty()) {
+    // The one chunk runs here; the caller may itself be another pool's
+    // worker, whose marker comes back once the chunk is done.
+    const ThreadPool* const outer = std::exchange(current_pool, this);
+    try {
+      fn(0, count, 0);
+    } catch (...) {
+      current_pool = outer;
+      throw;
+    }
+    current_pool = outer;
+    return;
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   job_ = &fn;
   job_count_ = count;

@@ -139,12 +139,6 @@ std::uint64_t AdaptiveState::updates() const {
 
 std::map<std::size_t, std::vector<std::uint64_t>> AdaptiveState::changed_rows()
     const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return classifier_ != nullptr ? classifier_->changed_rows()
-                                : regressor_->changed_rows();
-}
-
-std::uint64_t AdaptiveState::export_delta(const std::string& out_path) {
   const std::string& base_path = base_->base_path();
   const io::MappedSnapshot base = io::MappedSnapshot::open(base_path);
   const std::size_t section = io::find_model_section(base);
@@ -160,18 +154,25 @@ std::uint64_t AdaptiveState::export_delta(const std::string& out_path) {
         "serving model (" +
         base_path + ")");
   }
-  const std::uint64_t hash = io::snapshot_file_hash(base_path);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto rows =
-      io::diff_rows(base, section, [this](std::size_t i) {
-        return classifier_ != nullptr ? classifier_->class_row(i)
-                                      : regressor_->model_words();
-      });
+  return io::diff_rows(base, section, [this](std::size_t i) {
+    return classifier_ != nullptr ? classifier_->class_row(i)
+                                  : regressor_->model_words();
+  });
+}
+
+std::uint64_t AdaptiveState::export_delta(const std::string& out_path) {
+  const std::string& base_path = base_->base_path();
+  const auto rows = changed_rows();
   if (rows.empty()) {
     throw std::runtime_error(
         "delta export: the adapted model does not differ from " + base_path);
   }
-  io::write_delta_file(io::make_delta(base, hash, section, rows), out_path);
+  const io::MappedSnapshot base = io::MappedSnapshot::open(base_path);
+  io::write_delta_file(
+      io::make_delta(base, io::snapshot_file_hash(base_path),
+                     io::find_model_section(base), rows),
+      out_path);
   return rows.size();
 }
 

@@ -108,9 +108,23 @@ class AdaptiveState final : public Predictor {
   [[nodiscard]] std::uint64_t feedback_rows() const;
   [[nodiscard]] std::uint64_t updates() const;
 
-  /// The touched rows in delta form (class index -> packed words).
+  /// The adapted model's rows that differ from the pinned generation's
+  /// base snapshot *file* (row index -> packed words): the payload
+  /// export_delta() writes.  \throws io::SnapshotError when the base file
+  /// cannot be opened or its model shape disagrees with the serving model.
   [[nodiscard]] std::map<std::size_t, std::vector<std::uint64_t>>
   changed_rows() const;
+
+  /// Read-only views of the overlay model — exactly one is non-null, per
+  /// the pipeline kind — for callers that sweep its rows themselves (a
+  /// cluster rank's Classes-scheme slice).  Not synchronized with adapt():
+  /// the caller must not run both at once.
+  [[nodiscard]] const AdaptiveClassifier* classifier() const noexcept {
+    return classifier_.get();
+  }
+  [[nodiscard]] const AdaptiveRegressor* regressor() const noexcept {
+    return regressor_.get();
+  }
 
   /// Drops the overlay; the adapted side is the base again.
   void reset();

@@ -23,8 +23,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "hdc/io/reload.hpp"
@@ -76,13 +78,28 @@ class LocalPredictor final : public Predictor {
   /// The active generation.
   [[nodiscard]] ServingStatePtr state() const noexcept { return swap_.load(); }
 
+  /// The overlay over the active generation that adapt(), export_delta()
+  /// and adapted() work on, created on first use.
+  [[nodiscard]] AdaptiveStatePtr overlay();
+
+  /// predict()'s per-row encoding without the readout: encodes the rows of
+  /// \p batch in order into one scratch row on the calling thread with
+  /// \p state's encoder and calls \p visit(i, query) for row i — for
+  /// callers that sweep the query themselves (a cluster rank's slice).
+  /// \throws std::invalid_argument on a batch of the wrong input mode.
+  void for_each_encoded(
+      const ServingStatePtr& state, const SampleBatch& batch,
+      const std::function<void(std::size_t, HypervectorView)>& visit);
+
  private:
   struct Engines;
 
   /// The batch engines over \p state, rebuilt when a reload changed it.
   [[nodiscard]] std::shared_ptr<const Engines> engines_for(
       const ServingStatePtr& state);
-  [[nodiscard]] AdaptiveStatePtr overlay();
+  /// Encodes row \p i of \p batch into \p row with \p engines' encoder.
+  static void encode_row(const Engines& engines, const SampleBatch& batch,
+                         std::size_t i, std::span<std::uint64_t> row);
 
   SwapState swap_;
   io::MappingOptions mapping_;

@@ -44,6 +44,30 @@ LocalPredictor::LocalPredictor(io::Pipeline pipeline,
 
 LocalPredictor::~LocalPredictor() = default;
 
+namespace {
+
+void check_input(const io::Pipeline& pipeline, const SampleBatch& batch) {
+  if (is_text(batch) != (pipeline.input() == io::PipelineInput::Text)) {
+    throw std::invalid_argument(
+        std::string("LocalPredictor: the pipeline takes ") +
+        io::to_string(pipeline.input()) + " rows but the batch disagrees");
+  }
+}
+
+}  // namespace
+
+void LocalPredictor::encode_row(const Engines& engines,
+                                const SampleBatch& batch, std::size_t i,
+                                std::span<std::uint64_t> row) {
+  if (engines.text_encoder) {
+    engines.text_encoder->encode_into(
+        std::get<std::span<const std::string>>(batch)[i], row);
+  } else {
+    engines.encoder->encode_into(
+        std::get<std::span<const std::vector<double>>>(batch)[i], row);
+  }
+}
+
 io::PipelineKind LocalPredictor::kind() const {
   return swap_.load()->pipeline().kind();
 }
@@ -84,13 +108,7 @@ Predictions LocalPredictor::predict(const SampleBatch& batch, HeadMode head) {
   const ServingStatePtr state = swap_.load();
   Predictions out;
   out.generation = state->generation();
-  if (is_text(batch) !=
-      (state->pipeline().input() == io::PipelineInput::Text)) {
-    throw std::invalid_argument(
-        std::string("LocalPredictor: the pipeline takes ") +
-        io::to_string(state->pipeline().input()) +
-        " rows but the batch disagrees");
-  }
+  check_input(state->pipeline(), batch);
   if (batch_size(batch) == 0) {
     return out;
   }
@@ -114,13 +132,7 @@ Predictions LocalPredictor::predict(const SampleBatch& batch, HeadMode head) {
     AlignedWords row(bits::words_for(dimension));
     std::vector<std::size_t> distances;
     for (std::size_t i = begin; i < end; ++i) {
-      if (engines->text_encoder) {
-        engines->text_encoder->encode_into(
-            std::get<std::span<const std::string>>(batch)[i], row);
-      } else {
-        engines->encoder->encode_into(
-            std::get<std::span<const std::vector<double>>>(batch)[i], row);
-      }
+      encode_row(*engines, batch, i, row);
       if (classifies) {
         const CentroidClassifier& model = pipeline.classifier();
         if (with_head) {
@@ -150,6 +162,22 @@ Predictions LocalPredictor::predict(const SampleBatch& batch, HeadMode head) {
     }
   });
   return out;
+}
+
+void LocalPredictor::for_each_encoded(
+    const ServingStatePtr& state, const SampleBatch& batch,
+    const std::function<void(std::size_t, HypervectorView)>& visit) {
+  check_input(state->pipeline(), batch);
+  if (batch_size(batch) == 0) {
+    return;
+  }
+  const std::shared_ptr<const Engines> engines = engines_for(state);
+  const std::size_t dimension = state->pipeline().dimension();
+  AlignedWords row(bits::words_for(dimension));
+  for (std::size_t i = 0; i < batch_size(batch); ++i) {
+    encode_row(*engines, batch, i, row);
+    visit(i, HypervectorView(dimension, row));
+  }
 }
 
 AdaptiveStatePtr LocalPredictor::overlay() {

@@ -237,6 +237,14 @@ TEST(WorkerTest, MalformedPredictAndAdaptFramesAreErrorResponses) {
   adapt_flags[1] = static_cast<char>(hdc::cluster::kPredictFlagHead);
   expect_rejected(numeric, adapt_flags, "unknown request flags");
 
+  // A forged row count whose byte length wraps 64 bits (2^61 rows of 3
+  // features = 3 * 2^64 bytes) is caught before anything is sized.
+  std::string wrapping(1, static_cast<char>(WorkerOp::Predict2));
+  wrapping.push_back(0);
+  hdc::cluster::put_u64(wrapping, std::uint64_t{1} << 61);
+  hdc::cluster::put_u64(wrapping, 3);
+  expect_rejected(numeric, wrapping, "predict: truncated row payload");
+
   const std::vector<std::string> samples{"lo vo miri", "zu ka pelo tir"};
   const std::string good =
       hdc::cluster::encode_predict2_text_request(samples, false);
@@ -304,6 +312,37 @@ TEST(WorkerTest, ReloadBumpsGenerationAndRejectsBadSnapshots) {
                 worker.handle(hdc::cluster::encode_predict2_request(
                     flat.data(), rows.size(), 3, false))[0]),
             kWorkerOk);
+}
+
+TEST(WorkerTest, OverlayCountsAcceptedFeedbackUntilTheNextReload) {
+  const std::string path =
+      testutil::write_classifier_snapshot("worker_overlay.hdcs", 2023);
+  Worker::Config cfg;
+  cfg.snapshot_path = path;
+  Worker worker{cfg};
+  const auto rows = testutil::classifier_rows(1);
+  const auto adapt = [&](double target) {
+    return worker.handle(
+        hdc::cluster::encode_adapt_request(target, rows[0].data(), 4));
+  };
+  // A rejected target leaves no trace: the next accepted sample is the
+  // overlay's first.
+  EXPECT_EQ(static_cast<std::uint8_t>(adapt(1.5)[0]), kWorkerErr);
+  std::string accepted = adapt(1.0);
+  ASSERT_EQ(static_cast<std::uint8_t>(accepted[0]), kWorkerOk);
+  EXPECT_EQ(hdc::cluster::get_u64(accepted, 1), 1u);   // generation
+  EXPECT_EQ(hdc::cluster::get_u64(accepted, 25), 1u);  // feedback rows
+  accepted = adapt(2.0);
+  EXPECT_EQ(hdc::cluster::get_u64(accepted, 25), 2u);
+
+  // A reload retires the overlay with the generation it adapted.
+  ASSERT_EQ(static_cast<std::uint8_t>(
+                worker.handle(hdc::cluster::encode_reload_request(""))[0]),
+            kWorkerOk);
+  accepted = adapt(1.0);
+  ASSERT_EQ(static_cast<std::uint8_t>(accepted[0]), kWorkerOk);
+  EXPECT_EQ(hdc::cluster::get_u64(accepted, 1), 2u);
+  EXPECT_EQ(hdc::cluster::get_u64(accepted, 25), 1u);
 }
 
 TEST(WorkerTest, EmptyClassSliceReportsTheSentinel) {

@@ -2,7 +2,8 @@
 // caller ever sees must be attributable to exactly one model generation —
 // batches are generation-atomic through interleaved reloads, through
 // concurrent predict/reload hammering, and end to end through the socket
-// front end's `!reload` (the satellite-3 gate).
+// front end's `!reload` (the satellite-3 gate) — and a reload checksums its
+// replacement even on a cluster that trusted its initial load.
 
 #ifndef _WIN32
 
@@ -13,6 +14,8 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -119,6 +122,47 @@ TEST(ShardedReloadTest, ConcurrentPredictAndReloadNeverTearsABatch) {
     }
   }
   EXPECT_EQ(server.generation(), 7u);
+}
+
+TEST(ShardedReloadTest, ReloadChecksumsTheReplacementEvenUnderTrust) {
+  // Trust skips the payload hash of the initial load only: a hot swap must
+  // never serve unvetted bytes, on either backend.
+  const std::string a = testutil::write_beijing_snapshot("trust_a.hdcs", 1);
+  const std::string corrupt = testutil::temp_file("trust_corrupt.hdcs");
+  std::filesystem::copy_file(a, corrupt);
+  {
+    const auto snapshot = hdc::io::MappedSnapshot::open(a);
+    const auto offset = static_cast<std::streamoff>(
+        snapshot.section(hdc::io::find_model_section(snapshot))
+            .payload_offset);
+    std::fstream file(corrupt,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    file.seekg(offset);
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);  // bit 0: never a tail bit
+    file.seekp(offset);
+    file.write(&byte, 1);
+  }
+  // The flip is structurally valid: only the payload hash can catch it.
+  EXPECT_NO_THROW((void)hdc::io::load_pipeline(
+      corrupt, hdc::io::SnapshotIntegrity::Trust));
+  const auto rows = testutil::beijing_rows(9);
+  const auto golden = testutil::oracle(a, rows);
+
+  for (const CommBackend backend : {CommBackend::Loopback, CommBackend::Fork}) {
+    SCOPED_TRACE(backend == CommBackend::Fork ? "fork" : "loopback");
+    ClusterOptions options = fork_pair(ShardScheme::Rows);
+    options.backend = backend;
+    options.integrity = hdc::io::SnapshotIntegrity::Trust;
+    ShardedServer server(a, options);
+    EXPECT_THROW((void)server.reload(corrupt), hdc::io::SnapshotError);
+    EXPECT_EQ(server.generation(), 1u);
+    const hdc::serve::Predictions batch = server.predict(rows);
+    EXPECT_EQ(batch.generation, 1u);
+    EXPECT_EQ(batch.predictions, golden);
+  }
+  std::filesystem::remove(corrupt);
 }
 
 /// Minimal blocking TCP line client with a receive timeout.

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "hdc/core/basis_level.hpp"
@@ -80,6 +81,39 @@ TEST(ThreadPoolTest, NestedForChunksThrowsInsteadOfDeadlocking) {
     });
   });
   EXPECT_EQ(runs, 2);
+}
+
+TEST(ThreadPoolTest, OneWorkerPoolRunsEachRoundOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  std::vector<std::thread::id> ran;
+  pool.for_chunks(5, [&](std::size_t begin, std::size_t end,
+                         std::size_t chunk) {
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 5u);
+    EXPECT_EQ(chunk, 0u);
+    ran.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_EQ(ran[0], std::this_thread::get_id());
+
+  // A chunk's exception still reaches the caller, and the pool serves on.
+  EXPECT_THROW(pool.for_chunks(3,
+                               [](std::size_t, std::size_t, std::size_t) {
+                                 throw std::runtime_error("chunk failed");
+                               }),
+               std::runtime_error);
+  // A nested round on the same pool is still refused, not run re-entrantly.
+  EXPECT_THROW(
+      pool.for_chunks(2,
+                      [&](std::size_t, std::size_t, std::size_t) {
+                        pool.for_chunks(
+                            1, [](std::size_t, std::size_t, std::size_t) {});
+                      }),
+      std::logic_error);
+  int runs = 0;
+  pool.for_chunks(2, [&](std::size_t, std::size_t, std::size_t) { ++runs; });
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(ThreadPoolTest, PropagatesWorkerExceptions) {
