@@ -44,20 +44,11 @@ Basis::Basis(BasisInfo info, std::vector<Hypervector> vectors) : info_(info) {
   packed_.shrink_to_fit();
 }
 
-Basis::Basis(BasisInfo info, std::vector<std::uint64_t> packed_words)
-    : Basis(info, WordStorage(std::move(packed_words))) {}
-
 Basis::Basis(BasisInfo info, std::span<const std::uint64_t> packed_words,
              borrow_t)
-    : Basis(info, WordStorage(packed_words, borrowed)) {}
-
-Basis::Basis(BasisInfo info, WordStorage storage)
     : info_(info),
-      packed_(std::move(storage)),
+      packed_(packed_words, borrowed),
       words_per_vector_(bits::words_for(info.dimension)) {
-  // An incrementally grown owning arena (e.g. read_basis) can carry up to 2x
-  // slack capacity; drop it so resident_bytes() reflects the data.
-  packed_.shrink_to_fit();
   require(info_.size > 0, "Basis", "info.size must be positive");
   require_positive(info_.dimension, "Basis", "info.dimension");
   const auto words = packed_.words();

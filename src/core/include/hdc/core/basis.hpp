@@ -78,18 +78,12 @@ class Basis {
   /// \throws std::invalid_argument on any inconsistency.
   Basis(BasisInfo info, std::vector<Hypervector> vectors);
 
-  /// Adopts an already-packed arena (info.size rows of
-  /// bits::words_for(info.dimension) words each) without copying — the
-  /// zero-copy deserialization path.  Validates the word count and the
-  /// per-row tail-bits-zero invariant.
-  /// \throws std::invalid_argument on any inconsistency.
-  Basis(BasisInfo info, std::vector<std::uint64_t> packed_words);
-
-  /// Borrows an externally owned packed arena (e.g. a read-only snapshot
+  /// Borrows an externally owned packed arena (info.size rows of
+  /// bits::words_for(info.dimension) words each, e.g. a read-only snapshot
   /// mapping) without copying a single payload word.  The basis is valid
   /// only while the borrowed words outlive it — the mmap-serving path of
-  /// hdc::io::MappedSnapshot.  Validates the same invariants as the owning
-  /// arena constructor.
+  /// hdc::io::MappedSnapshot.  Validates the word count and the per-row
+  /// tail-bits-zero invariant.
   /// \throws std::invalid_argument on any inconsistency.
   Basis(BasisInfo info, std::span<const std::uint64_t> packed_words, borrow_t);
 
@@ -245,10 +239,6 @@ class Basis {
   [[nodiscard]] std::vector<std::vector<double>> pairwise_similarities() const;
 
  private:
-  /// Shared adopting path behind the owning and borrowed public
-  /// constructors; validates count and per-row tail invariants.
-  Basis(BasisInfo info, WordStorage storage);
-
   /// Trusted adopting path (no per-row scan); used by detach(), whose source
   /// rows were validated when this basis was built.
   Basis(BasisInfo info, WordStorage storage, unchecked_t) noexcept

@@ -13,7 +13,7 @@
 /// row for any batch size and thread count.  The model sits in a
 /// `SwapState`: each batch loads the active generation and keeps it until
 /// it is answered, and `reload()` maps and fully validates the replacement
-/// off to the side before one atomic flip, so a rejected reload leaves the
+/// off to the side before one pointer flip, so a rejected reload leaves the
 /// incumbent serving untouched.
 ///
 /// Feedback (`adapt`, `export_delta`, `adapted`) lands in an `AdaptiveState`

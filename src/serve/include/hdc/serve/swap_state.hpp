@@ -10,18 +10,17 @@
 ///
 ///  * `ServingState` is an immutable bundle — the mmapped snapshot and the
 ///    pipeline restored over it — refcounted by `shared_ptr`.
-///  * `SwapState` holds the *active* state behind an atomic pointer.  A
-///    serving loop `load()`s at each micro-batch boundary and keeps its
-///    copy for the duration of the batch; a reloader builds and validates a
-///    complete replacement off to the side and `swap_to()`s it in one
-///    atomic flip.
+///  * `SwapState` holds the *active* state behind a mutex.  A serving loop
+///    `load()`s — one uncontended lock and a refcount bump — at each
+///    micro-batch boundary and keeps its copy for the duration of the
+///    batch; a reloader builds and validates a complete replacement off to
+///    the side and `swap_to()`s it in one pointer flip under the same lock.
 ///
 /// In-flight batches therefore always finish on the mapping they started
 /// on, new batches pick up the replacement immediately, and the old
 /// mapping is unmapped exactly when its last in-flight holder releases it
-/// — no lock is ever held across a predict.
+/// — no lock is ever held across a predict or an unmap.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -79,21 +78,21 @@ class ServingState {
 
 using ServingStatePtr = std::shared_ptr<const ServingState>;
 
-/// Atomic holder of the active ServingState (see the file comment for the
-/// protocol).  load() is wait-free for readers; swap_to() validates the
-/// replacement against the incumbent and flips, serializing concurrent
-/// reloaders behind a mutex that readers never touch.
+/// Mutex-guarded holder of the active ServingState (see the file comment for
+/// the protocol).  load() copies the pointer under the lock; swap_to()
+/// validates the replacement against the incumbent and flips it under the
+/// same lock, which also serializes concurrent reloaders.
 class SwapState {
  public:
   /// Starts serving \p initial; reloads count generations up from it.
   /// \throws std::invalid_argument if \p initial is null.
   explicit SwapState(ServingStatePtr initial);
 
-  /// The currently active state (acquire; never null).
+  /// The currently active state (never null).
   [[nodiscard]] ServingStatePtr load() const noexcept;
 
   /// Validates \p replacement against the incumbent (`io::ensure_swappable`
-  /// — same kind, same arity) and atomically makes it the active state.
+  /// — same kind, same arity) and makes it the active state.
   /// Returns the new state (already active when this returns).  On throw
   /// the incumbent stays active and untouched.
   /// \throws io::SnapshotError on a shape mismatch.
@@ -106,16 +105,8 @@ class SwapState {
   }
 
  private:
-#if defined(__cpp_lib_atomic_shared_ptr)
-  std::atomic<ServingStatePtr> active_;
-#else
-  // Pre-atomic<shared_ptr> toolchains: a spare mutex copy on load().  The
-  // hot-swap semantics (in-flight batches drain on the old state) are
-  // identical, only reader wait-freedom is lost.
-  mutable std::mutex active_mutex_;
+  mutable std::mutex mutex_;  ///< Guards both fields below.
   ServingStatePtr active_;
-#endif
-  std::mutex swap_mutex_;  ///< Serializes swap_to() callers only.
   std::uint64_t next_generation_;
 };
 

@@ -9,39 +9,26 @@ SwapState::SwapState(ServingStatePtr initial) {
     throw std::invalid_argument("SwapState: initial state must not be null");
   }
   next_generation_ = initial->generation() + 1;
-#if defined(__cpp_lib_atomic_shared_ptr)
-  active_.store(std::move(initial), std::memory_order_release);
-#else
   active_ = std::move(initial);
-#endif
 }
 
 ServingStatePtr SwapState::load() const noexcept {
-#if defined(__cpp_lib_atomic_shared_ptr)
-  return active_.load(std::memory_order_acquire);
-#else
-  const std::lock_guard<std::mutex> lock(active_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return active_;
-#endif
 }
 
 ServingStatePtr SwapState::swap_to(io::LoadedPipeline replacement,
                                    std::string source_path,
                                    std::string base_path) {
-  const std::lock_guard<std::mutex> lock(swap_mutex_);
-  const ServingStatePtr incumbent = load();
-  io::ensure_swappable(replacement.pipeline, incumbent->pipeline());
+  std::unique_lock<std::mutex> lock(mutex_);
+  io::ensure_swappable(replacement.pipeline, active_->pipeline());
   auto fresh = std::make_shared<const ServingState>(
       std::move(replacement), next_generation_++, std::move(source_path),
       std::move(base_path));
-#if defined(__cpp_lib_atomic_shared_ptr)
-  active_.store(fresh, std::memory_order_release);
-#else
-  {
-    const std::lock_guard<std::mutex> active_lock(active_mutex_);
-    active_ = fresh;
-  }
-#endif
+  ServingStatePtr retired = std::exchange(active_, fresh);
+  lock.unlock();
+  // `retired` drops here, outside the lock: when no batch still holds it,
+  // its mapping is unmapped without stalling readers.
   return fresh;
 }
 

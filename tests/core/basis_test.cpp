@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "hdc/core/basis_random.hpp"
 #include "hdc/core/ops.hpp"
 
@@ -159,30 +162,32 @@ TEST(BasisTest, PackedArenaIsTheOnlyVectorStorage) {
 
 TEST(BasisTest, AdoptsPrepackedArenaZeroCopy) {
   const Basis original = small_basis(5, 70, 13);
-  std::vector<std::uint64_t> packed(original.packed_words().begin(),
-                                    original.packed_words().end());
-  const Basis adopted(original.info(), std::move(packed));
+  const std::vector<std::uint64_t> packed(original.packed_words().begin(),
+                                          original.packed_words().end());
+  const Basis adopted(original.info(), std::span(packed), hdc::borrowed);
+  EXPECT_FALSE(adopted.owns_storage());
+  EXPECT_EQ(adopted.packed_words().data(), packed.data());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_TRUE(adopted[i] == original[i]) << "row " << i;
   }
 
   // Arena validation: wrong word count and dirty tail bits are rejected.
-  std::vector<std::uint64_t> wrong_count(original.packed_words().begin(),
-                                         original.packed_words().end() - 1);
-  EXPECT_THROW(Basis(original.info(), std::move(wrong_count)),
+  const std::span<const std::uint64_t> wrong_count(packed.data(),
+                                                   packed.size() - 1);
+  EXPECT_THROW(Basis(original.info(), wrong_count, hdc::borrowed),
                std::invalid_argument);
-  std::vector<std::uint64_t> dirty(original.packed_words().begin(),
-                                   original.packed_words().end());
+  std::vector<std::uint64_t> dirty = packed;
   dirty[1] |= 1ULL << 63;  // bit 127 of row 0: beyond dimension 70
-  EXPECT_THROW(Basis(original.info(), std::move(dirty)),
+  EXPECT_THROW(Basis(original.info(), std::span(dirty), hdc::borrowed),
                std::invalid_argument);
 
   // A crafted size whose multiply with the stride wraps to the arena length
   // must not bypass validation (overflow-safe word-count check).
   BasisInfo overflow = original.info();
   overflow.size = std::size_t{1} << 63;  // * 2 words/vector wraps to 0
-  EXPECT_THROW(Basis(overflow, std::vector<std::uint64_t>{}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      Basis(overflow, std::span<const std::uint64_t>{}, hdc::borrowed),
+      std::invalid_argument);
 }
 
 TEST(BasisTest, ToStringNamesAllEnumerators) {

@@ -1,15 +1,17 @@
 // End-to-end integration test through the umbrella header: build encoders,
-// train both model types, serialize, restore, and predict — the full
-// lifecycle a downstream user runs.
+// train both model types, snapshot, map, and predict — the full lifecycle a
+// downstream user runs.
 
 #include "hdc/core/hdc.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
-#include <sstream>
+#include <string>
 
+#include "hdc/io/snapshot.hpp"
 #include "hdc/stats/circular.hpp"
 
 namespace {
@@ -45,16 +47,20 @@ TEST(IntegrationTest, FullClassificationLifecycle) {
   }
   model.finalize();
 
-  // 3. Serialize the trained model and the value basis.
-  std::stringstream stream;
-  hdc::write_classifier(stream, model);
-  hdc::write_basis(stream, values->basis());
+  // 3. Snapshot the trained model and the value basis into one HDCS file.
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) / "lifecycle.hdcs").string();
+  hdc::io::SnapshotWriter writer;
+  writer.add_classifier(model);
+  writer.add_basis(values->basis());
+  writer.write_file(path);
 
-  // 4. Restore both and verify the loaded pipeline classifies fresh samples.
-  const hdc::CentroidClassifier loaded = hdc::read_classifier(stream);
-  const hdc::Basis loaded_basis = hdc::read_basis(stream);
+  // 4. Map it, restore both and verify the loaded pipeline classifies fresh
+  //    samples.
+  const auto snapshot = hdc::io::MappedSnapshot::open(path);
+  const hdc::CentroidClassifier loaded = snapshot.classifier(0);
   const auto loaded_values = std::make_shared<hdc::CircularScalarEncoder>(
-      loaded_basis, hdc::stats::two_pi);
+      snapshot.basis(1), hdc::stats::two_pi);
   const hdc::KeyValueEncoder loaded_encoder(4, loaded_values, 12);
 
   std::size_t correct = 0;
@@ -70,6 +76,7 @@ TEST(IntegrationTest, FullClassificationLifecycle) {
     }
   }
   EXPECT_GT(static_cast<double>(correct) / (3.0 * trials), 0.95);
+  std::filesystem::remove(path);
 }
 
 TEST(IntegrationTest, FullRegressionLifecycle) {

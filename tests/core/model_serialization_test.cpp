@@ -1,19 +1,23 @@
-// Round-trip and failure-injection tests for classifier serialization and
-// the inference-only restore semantics.
+// Round-trip and failure-injection tests for classifier snapshots (HDCS)
+// and the inference-only restore semantics.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <sstream>
+#include <string>
 
 #include "hdc/core/ops.hpp"
-#include "hdc/core/serialization.hpp"
+#include "hdc/io/snapshot.hpp"
 
 namespace {
 
 using hdc::CentroidClassifier;
 using hdc::Hypervector;
 using hdc::Rng;
-using hdc::SerializationError;
+using hdc::io::MappedSnapshot;
+using hdc::io::SnapshotError;
+using hdc::io::SnapshotWriter;
 
 CentroidClassifier trained_model(Rng& rng,
                                  std::vector<Hypervector>* prototypes) {
@@ -31,14 +35,29 @@ CentroidClassifier trained_model(Rng& rng,
   return model;
 }
 
+/// The snapshot bytes of a one-section file holding \p model.
+std::string snapshot_bytes(const CentroidClassifier& model) {
+  SnapshotWriter writer;
+  writer.add_classifier(model);
+  std::ostringstream out;
+  writer.write(out);
+  return out.str();
+}
+
+/// Reads \p bytes back as a heap-backed snapshot; the classifiers it hands
+/// out borrow from it.
+MappedSnapshot load(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return hdc::io::load_snapshot(in);
+}
+
 TEST(ModelSerializationTest, ClassifierRoundTripPredictsIdentically) {
   Rng rng(1);
   std::vector<Hypervector> prototypes;
   const CentroidClassifier original = trained_model(rng, &prototypes);
 
-  std::stringstream stream;
-  hdc::write_classifier(stream, original);
-  const CentroidClassifier loaded = hdc::read_classifier(stream);
+  const MappedSnapshot snapshot = load(snapshot_bytes(original));
+  const CentroidClassifier loaded = snapshot.classifier(0);
 
   EXPECT_EQ(loaded.num_classes(), original.num_classes());
   EXPECT_EQ(loaded.dimension(), original.dimension());
@@ -57,17 +76,16 @@ TEST(ModelSerializationTest, ClassifierRoundTripPredictsIdentically) {
 
 TEST(ModelSerializationTest, UnfinalizedClassifierRejected) {
   CentroidClassifier model(2, 128, 1);
-  std::stringstream stream;
-  EXPECT_THROW(hdc::write_classifier(stream, model), SerializationError);
+  SnapshotWriter writer;
+  EXPECT_THROW(writer.add_classifier(model), SnapshotError);
 }
 
 TEST(ModelSerializationTest, LoadedModelIsInferenceOnly) {
   Rng rng(2);
   std::vector<Hypervector> prototypes;
   const CentroidClassifier original = trained_model(rng, &prototypes);
-  std::stringstream stream;
-  hdc::write_classifier(stream, original);
-  CentroidClassifier loaded = hdc::read_classifier(stream);
+  const MappedSnapshot snapshot = load(snapshot_bytes(original));
+  CentroidClassifier loaded = snapshot.classifier(0);
 
   const Hypervector sample = Hypervector::random(loaded.dimension(), rng);
   EXPECT_THROW(loaded.add_sample(0, sample), std::logic_error);
@@ -90,11 +108,8 @@ TEST(ModelSerializationTest, RejectsTruncatedClassifierStream) {
   Rng rng(4);
   std::vector<Hypervector> prototypes;
   const CentroidClassifier original = trained_model(rng, &prototypes);
-  std::stringstream stream;
-  hdc::write_classifier(stream, original);
-  const std::string full = stream.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW((void)hdc::read_classifier(cut), SerializationError);
+  const std::string full = snapshot_bytes(original);
+  EXPECT_THROW((void)load(full.substr(0, full.size() / 2)), SnapshotError);
 }
 
 // Regression: a model loaded inference-only must *report* that state
@@ -107,9 +122,8 @@ TEST(ModelSerializationTest, LoadedModelReportsQueryableTrainability) {
   EXPECT_TRUE(original.trainable());
   EXPECT_FALSE(original.inference_only());
 
-  std::stringstream stream;
-  hdc::write_classifier(stream, original);
-  CentroidClassifier loaded = hdc::read_classifier(stream);
+  const MappedSnapshot snapshot = load(snapshot_bytes(original));
+  CentroidClassifier loaded = snapshot.classifier(0);
 
   EXPECT_TRUE(loaded.finalized());
   EXPECT_FALSE(loaded.trainable());
@@ -130,9 +144,9 @@ TEST(ModelSerializationTest, DetachYieldsOwningBitExactCopy) {
   Rng rng(7);
   std::vector<Hypervector> prototypes;
   const CentroidClassifier original = trained_model(rng, &prototypes);
-  std::stringstream stream;
-  hdc::write_classifier(stream, original);
-  const CentroidClassifier loaded = hdc::read_classifier(stream);
+  const MappedSnapshot snapshot = load(snapshot_bytes(original));
+  const CentroidClassifier loaded = snapshot.classifier(0);
+  EXPECT_FALSE(loaded.owns_storage());
 
   const CentroidClassifier copy = loaded.detach();
   EXPECT_TRUE(copy.owns_storage());
@@ -143,10 +157,18 @@ TEST(ModelSerializationTest, DetachYieldsOwningBitExactCopy) {
 }
 
 TEST(ModelSerializationTest, RejectsWrongTag) {
+  // A basis section is not a classifier: the typed accessor refuses it.
   Rng rng(5);
-  std::stringstream stream;
-  hdc::write_hypervector(stream, Hypervector::random(64, rng));
-  EXPECT_THROW((void)hdc::read_classifier(stream), SerializationError);
+  hdc::BasisInfo info;
+  info.dimension = 64;
+  info.size = 1;
+  const hdc::Basis basis(info, {Hypervector::random(64, rng)});
+  SnapshotWriter writer;
+  writer.add_basis(basis);
+  std::ostringstream out;
+  writer.write(out);
+  const MappedSnapshot snapshot = load(out.str());
+  EXPECT_THROW((void)snapshot.classifier(0), SnapshotError);
 }
 
 }  // namespace

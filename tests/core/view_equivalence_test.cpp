@@ -4,7 +4,8 @@
 // `Hypervector` copies materialized from those views (which reproduces the
 // pre-refactor storage layout).  The sweep covers the word-boundary edge
 // dimensions (1, 63, 64, 65, 127) plus the paper-scale ones (10'000, 10'240)
-// for all four basis families, with several generation seeds each.
+// for all four basis families, with several generation seeds each, plus an
+// HDCS snapshot round trip at every one of those dimensions.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,7 @@
 #include "hdc/core/ops.hpp"
 #include "hdc/core/scalar_encoder.hpp"
 #include "hdc/core/scatter_code.hpp"
-#include "hdc/core/serialization.hpp"
+#include "hdc/io/snapshot.hpp"
 
 namespace {
 
@@ -212,13 +213,15 @@ TEST_P(ViewEquivalenceTest, SerializationRoundTripPreservesArena) {
   const auto [kind, d] = GetParam();
   const std::size_t m = d > 1'000 ? 8 : 16;
   const Basis basis = make_basis(kind, d, m, 61);
+  hdc::io::SnapshotWriter writer;
+  writer.add_basis(basis);
   std::stringstream stream;
-  hdc::write_basis(stream, basis);
-  const Basis loaded = hdc::read_basis(stream);
+  writer.write(stream);
+  const Basis loaded = hdc::io::load_snapshot(stream).basis(0).detach();
   ASSERT_EQ(loaded.size(), basis.size());
   ASSERT_EQ(loaded.words_per_vector(), basis.words_per_vector());
-  // The deserialized arena must not retain growth slack: resident bytes on
-  // the read path match the freshly generated basis exactly.
+  // The detached arena must not retain slack: resident bytes on the read
+  // path match the freshly generated basis exactly.
   EXPECT_EQ(loaded.resident_bytes(), basis.resident_bytes());
   const auto a = basis.packed_words();
   const auto b = loaded.packed_words();

@@ -1,6 +1,6 @@
 // Equivalence suite: models served straight over a snapshot mapping must be
-// bit-identical to the classic stream-deserialized models for every basis
-// kind and every entry point (nearest / predict / encode-decode), and
+// bit-identical to the in-memory models they were written from, for every
+// basis kind and every entry point (nearest / predict / encode-decode), and
 // concurrent MappedSnapshots of one file must agree under the thread pool.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -81,29 +80,29 @@ TEST(SnapshotEquivalenceTest, MappedBasisMatchesStreamLoadedBasis) {
     const auto snapshot = MappedSnapshot::open(path);
     const Basis mapped = snapshot.basis(0);
 
-    std::stringstream stream;
-    hdc::write_basis(stream, original);
-    const Basis streamed = hdc::read_basis(stream);
-
     EXPECT_FALSE(mapped.owns_storage());
     EXPECT_EQ(mapped.resident_bytes(), 0U);
-    ASSERT_EQ(mapped.size(), streamed.size());
-    ASSERT_EQ(mapped.dimension(), streamed.dimension());
-    EXPECT_EQ(mapped.info().seed, streamed.info().seed);
-    for (std::size_t i = 0; i < streamed.size(); ++i) {
-      EXPECT_TRUE(mapped[i] == streamed[i]) << "row " << i;
+    ASSERT_EQ(mapped.size(), original.size());
+    ASSERT_EQ(mapped.dimension(), original.dimension());
+    // The whole provenance survives, not just the rows.
+    EXPECT_EQ(mapped.info().kind, original.info().kind);
+    EXPECT_EQ(mapped.info().method, original.info().method);
+    EXPECT_EQ(mapped.info().r, original.info().r);
+    EXPECT_EQ(mapped.info().seed, original.info().seed);
+    for (std::size_t i = 0; i < original.size(); ++i) {
+      EXPECT_TRUE(mapped[i] == original[i]) << "row " << i;
     }
     // nearest: identical cleanup decisions on noisy probes.
     Rng rng(7);
     for (int probe = 0; probe < 64; ++probe) {
       const Hypervector query = Hypervector::random(kDim, rng);
-      EXPECT_EQ(mapped.nearest(query), streamed.nearest(query));
+      EXPECT_EQ(mapped.nearest(query), original.nearest(query));
     }
     // detach(): the owning escape hatch is bit-exact too.
     const Basis detached = mapped.detach();
     EXPECT_TRUE(detached.owns_storage());
-    for (std::size_t i = 0; i < streamed.size(); ++i) {
-      EXPECT_TRUE(detached[i] == streamed[i]) << "row " << i;
+    for (std::size_t i = 0; i < original.size(); ++i) {
+      EXPECT_TRUE(detached[i] == original[i]) << "row " << i;
     }
     std::filesystem::remove(path);
   }
@@ -111,7 +110,7 @@ TEST(SnapshotEquivalenceTest, MappedBasisMatchesStreamLoadedBasis) {
 
 TEST(SnapshotEquivalenceTest, MappedEncodeDecodeMatchesStreamLoaded) {
   // Level basis under a linear encoder, circular basis under a circular
-  // encoder: phi and phi^{-1} must agree between mapped and stream models.
+  // encoder: phi and phi^{-1} must agree between mapped and in-memory models.
   const Basis level = make_basis(BasisKind::Level);
   const Basis circular = make_basis(BasisKind::Circular);
   const std::string path = temp_file("equiv_encoders.hdcs");
@@ -121,25 +120,19 @@ TEST(SnapshotEquivalenceTest, MappedEncodeDecodeMatchesStreamLoaded) {
   writer.write_file(path);
   const auto snapshot = MappedSnapshot::open(path);
 
-  std::stringstream stream;
-  hdc::write_basis(stream, level);
-  hdc::write_basis(stream, circular);
-  const Basis stream_level = hdc::read_basis(stream);
-  const Basis stream_circular = hdc::read_basis(stream);
-
   const hdc::LinearScalarEncoder mapped_linear(snapshot.basis(0), 0.0, 10.0);
-  const hdc::LinearScalarEncoder stream_linear(stream_level, 0.0, 10.0);
+  const hdc::LinearScalarEncoder memory_linear(level, 0.0, 10.0);
   const hdc::CircularScalarEncoder mapped_circ(snapshot.basis(1), 360.0);
-  const hdc::CircularScalarEncoder stream_circ(stream_circular, 360.0);
+  const hdc::CircularScalarEncoder memory_circ(circular, 360.0);
   for (int k = 0; k <= 50; ++k) {
     const double x = static_cast<double>(k) / 5.0;
-    EXPECT_TRUE(mapped_linear.encode(x) == stream_linear.encode(x));
+    EXPECT_TRUE(mapped_linear.encode(x) == memory_linear.encode(x));
     EXPECT_DOUBLE_EQ(mapped_linear.decode(mapped_linear.encode(x)),
-                     stream_linear.decode(stream_linear.encode(x)));
+                     memory_linear.decode(memory_linear.encode(x)));
     const double angle = x * 36.0;
-    EXPECT_TRUE(mapped_circ.encode(angle) == stream_circ.encode(angle));
+    EXPECT_TRUE(mapped_circ.encode(angle) == memory_circ.encode(angle));
     EXPECT_DOUBLE_EQ(mapped_circ.decode(mapped_circ.encode(angle)),
-                     stream_circ.decode(stream_circ.encode(angle)));
+                     memory_circ.decode(memory_circ.encode(angle)));
   }
   std::filesystem::remove(path);
 }
@@ -160,20 +153,16 @@ TEST(SnapshotEquivalenceTest, MappedClassifierMatchesStreamLoaded) {
   const auto snapshot = MappedSnapshot::open(path);
   const hdc::CentroidClassifier mapped = snapshot.classifier(0);
 
-  std::stringstream stream;
-  hdc::write_classifier(stream, original);
-  const hdc::CentroidClassifier streamed = hdc::read_classifier(stream);
-
   EXPECT_FALSE(mapped.owns_storage());
   EXPECT_FALSE(mapped.trainable());
-  ASSERT_EQ(mapped.num_classes(), streamed.num_classes());
-  for (std::size_t c = 0; c < streamed.num_classes(); ++c) {
-    EXPECT_TRUE(mapped.class_vector(c) == streamed.class_vector(c));
+  ASSERT_EQ(mapped.num_classes(), original.num_classes());
+  for (std::size_t c = 0; c < original.num_classes(); ++c) {
+    EXPECT_TRUE(mapped.class_vector(c) == original.class_vector(c));
   }
   for (int probe = 0; probe < 64; ++probe) {
     const Hypervector query = Hypervector::random(kDim, rng);
-    EXPECT_EQ(mapped.predict(query), streamed.predict(query));
-    EXPECT_EQ(mapped.similarities(query), streamed.similarities(query));
+    EXPECT_EQ(mapped.predict(query), original.predict(query));
+    EXPECT_EQ(mapped.similarities(query), original.similarities(query));
   }
   std::filesystem::remove(path);
 }

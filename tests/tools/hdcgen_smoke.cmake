@@ -1,14 +1,17 @@
 # hdcgen CLI smoke suite, run by ctest as `hdcgen_smoke`.
 #
 # Asserts the contract a shell user sees: snap -> snap-info round trips for
-# both basis and pipeline snapshots on a scratch directory, and bad args /
+# both basis and pipeline snapshots on a scratch directory, the basis
+# inspectors (info / dist / heatmap) over a snap --kind file, and bad args /
 # unknown subcommands / corrupt or truncated files exit nonzero with a
 # diagnostic instead of crashing.
 #
 # Inputs: -DHDCGEN=<tool path> -DWORK_DIR=<scratch dir>
+#         -DFIXTURE_DIR=<committed golden snapshots (tests/io/fixtures)>
 
-if(NOT DEFINED HDCGEN OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "hdcgen_smoke: pass -DHDCGEN=... and -DWORK_DIR=...")
+if(NOT DEFINED HDCGEN OR NOT DEFINED WORK_DIR OR NOT DEFINED FIXTURE_DIR)
+  message(FATAL_ERROR
+    "hdcgen_smoke: pass -DHDCGEN=..., -DWORK_DIR=... and -DFIXTURE_DIR=...")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -67,6 +70,16 @@ run(ok "wrote" snap --kind circular --size 8 --dim 96 --r 0.1
     --out "${WORK_DIR}/basis.hdcs")
 run(ok "kind=circular" snap-info "${WORK_DIR}/basis.hdcs")
 run(ok "all sections OK" snap-info "${WORK_DIR}/basis.hdcs")
+
+# --- the basis inspectors read section 0 of a snap --kind file.
+run(ok "wrote" snap --kind circular --size 16 --dim 1024 --seed 3
+    --out "${WORK_DIR}/circular.hdcs")
+run(ok "kind:       circular" info "${WORK_DIR}/circular.hdcs")
+run(ok "pairwise delta" info "${WORK_DIR}/circular.hdcs")
+run(ok "0.000" dist "${WORK_DIR}/circular.hdcs")
+run(ok "@@" heatmap "${WORK_DIR}/circular.hdcs")
+# A snapshot whose section 0 is a model, not a basis, is refused by name.
+run(fail "is not a basis arena" info "${FIXTURE_DIR}/classifier.hdcs")
 
 # --- snap --pipeline -> snap-info round trip for both pipeline kinds.
 run(ok "classifier pipeline" snap --pipeline classifier --dim 96
@@ -132,6 +145,8 @@ run(fail "usage" snap)                             # snap without flags
 run(fail "unknown kind" snap --kind bogus --size 8 --out "${WORK_DIR}/x.hdcs")
 run(fail "unknown pipeline" snap --pipeline bogus --out "${WORK_DIR}/x.hdcs")
 run(fail "usage" snap-info)                        # missing file operand
+run(fail "usage" gen --kind circular --size 8      # retired subcommand
+    --out "${WORK_DIR}/x.hdcs")
 
 # --- missing, truncated and corrupt files: diagnostic, nonzero, no crash.
 run(fail "hdcgen:" snap-info "${WORK_DIR}/does_not_exist.hdcs")
@@ -145,5 +160,6 @@ run(fail "hdcgen:" snap-info "${WORK_DIR}/truncated.hdcs")
 string(REPEAT "this is not an HDCS snapshot at all. " 4 garbage)
 file(WRITE "${WORK_DIR}/garbage.hdcs" "${garbage}")
 run(fail "not an HDCS snapshot" snap-info "${WORK_DIR}/garbage.hdcs")
+run(fail "not an HDCS snapshot" info "${WORK_DIR}/garbage.hdcs")
 
 message(STATUS "hdcgen_smoke: all checks passed")

@@ -1,12 +1,12 @@
-// hdcgen — generate, inspect and compare basis-hypervector files.
+// hdcgen — generate, inspect and compare basis-hypervector snapshots.
 //
 // Usage:
-//   hdcgen gen  --kind random|level|level-flip|circular|circular-cos|scatter
+//   hdcgen snap --kind random|level|level-flip|circular|circular-cos|scatter
 //               --size M [--dim D] [--r R] [--seed S] --out FILE
+//                               # one basis as an HDCS snapshot
 //   hdcgen info FILE            # provenance + summary statistics
 //   hdcgen dist FILE            # pairwise distance matrix
 //   hdcgen heatmap FILE         # ASCII similarity heat map (paper Fig. 3)
-//   hdcgen snap ...             # like gen, but writes an HDCS snapshot
 //   hdcgen snap --pipeline classifier|regressor|beijing|text [--dim D]
 //               [--seed S] --out FILE
 //                               # a complete encode->predict pipeline
@@ -40,9 +40,9 @@
 //   hdcgen kernels              # CPU features + compiled/available SIMD
 //                               # kernel variants + active selection
 //
-// `gen` files use the library's portable stream format
-// (hdc/core/serialization); `snap*` and `serve` use the mmap-able HDCS
-// snapshot format (hdc/io/snapshot, docs/snapshot_format.md).
+// Every file is an mmap-able HDCS snapshot (hdc/io/snapshot,
+// docs/snapshot_format.md); `info`, `dist` and `heatmap` read the basis in
+// section 0.
 //
 // Flags follow the `--name value` / `--name=value` shape shared by every
 // subcommand (tools/flag_parser.hpp).
@@ -51,7 +51,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -78,12 +77,11 @@ namespace {
 int usage() {
   std::fputs(
       "usage:\n"
-      "  hdcgen gen --kind KIND --size M [--dim D] [--r R] [--seed S] --out FILE\n"
+      "  hdcgen snap --kind KIND --size M [--dim D] [--r R] [--seed S] --out FILE\n"
       "       KIND: random | level | level-flip | circular | circular-cos | scatter\n"
       "  hdcgen info FILE\n"
       "  hdcgen dist FILE\n"
       "  hdcgen heatmap FILE\n"
-      "  hdcgen snap --kind KIND --size M [--dim D] [--r R] [--seed S] --out FILE\n"
       "  hdcgen snap --pipeline classifier|regressor|beijing|text [--dim D]\n"
       "              [--seed S] --out FILE\n"
       "  hdcgen snap-info FILE\n"
@@ -108,15 +106,7 @@ int usage() {
 
 using hdc::tools::FlagParser;
 
-hdc::Basis load_basis(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return hdc::read_basis(in);
-}
-
-/// Builds the basis described by the gen/snap command-line flags; empty on
+/// Builds the basis described by the snap --kind flags; empty on
 /// a malformed or missing flag set.
 std::optional<hdc::Basis> basis_from_args(const FlagParser& flags) {
   const auto kind = flags.value("--kind");
@@ -164,29 +154,6 @@ std::optional<hdc::Basis> basis_from_args(const FlagParser& flags) {
     return std::nullopt;
   }
   return basis;
-}
-
-void print_basis_summary(const char* path, const hdc::Basis& basis) {
-  const hdc::BasisInfo& info = basis.info();
-  std::printf("wrote %s: %s basis, m = %zu, d = %zu, r = %.3f, seed = %llu\n",
-              path, hdc::to_string(info.kind), info.size, info.dimension,
-              info.r, static_cast<unsigned long long>(info.seed));
-}
-
-int cmd_gen(const FlagParser& flags) {
-  const auto out_path = flags.value("--out");
-  const auto basis = basis_from_args(flags);
-  if (!basis || !out_path) {
-    return usage();
-  }
-  std::ofstream out(*out_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path->c_str());
-    return 1;
-  }
-  hdc::write_basis(out, *basis);
-  print_basis_summary(out_path->c_str(), *basis);
-  return 0;
 }
 
 /// The fixture spec shared by snap --pipeline and snap-fixtures; only
@@ -249,7 +216,11 @@ int cmd_snap(const FlagParser& flags) {
   hdc::io::SnapshotWriter writer;
   writer.add_basis(*basis);
   writer.write_file(*out_path);
-  print_basis_summary(out_path->c_str(), *basis);
+  const hdc::BasisInfo& info = basis->info();
+  std::printf("wrote %s: %s basis, m = %zu, d = %zu, r = %.3f, seed = %llu\n",
+              out_path->c_str(), hdc::to_string(info.kind), info.size,
+              info.dimension, info.r,
+              static_cast<unsigned long long>(info.seed));
   return 0;
 }
 
@@ -733,7 +704,8 @@ int cmd_kernels() {
 }
 
 int cmd_info(const std::string& path) {
-  const hdc::Basis basis = load_basis(path);
+  const auto snapshot = hdc::io::MappedSnapshot::open(path);
+  const hdc::Basis basis = snapshot.basis(0);
   const hdc::BasisInfo& info = basis.info();
   std::printf("file:       %s\n", path.c_str());
   std::printf("kind:       %s\n", hdc::to_string(info.kind));
@@ -774,7 +746,8 @@ int cmd_info(const std::string& path) {
 }
 
 int cmd_dist(const std::string& path) {
-  const hdc::Basis basis = load_basis(path);
+  const auto snapshot = hdc::io::MappedSnapshot::open(path);
+  const hdc::Basis basis = snapshot.basis(0);
   const auto matrix = basis.pairwise_distances();
   for (const auto& row : matrix) {
     for (const double value : row) {
@@ -786,7 +759,8 @@ int cmd_dist(const std::string& path) {
 }
 
 int cmd_heatmap(const std::string& path) {
-  const hdc::Basis basis = load_basis(path);
+  const auto snapshot = hdc::io::MappedSnapshot::open(path);
+  const hdc::Basis basis = snapshot.basis(0);
   std::fputs(hdc::exp::render_heatmap(basis.pairwise_similarities(), 0.5, 1.0)
                  .c_str(),
              stdout);
@@ -802,9 +776,6 @@ int main(int argc, char** argv) {
   const std::string_view command = argv[1];
   const FlagParser flags(argc, argv);
   try {
-    if (command == "gen") {
-      return cmd_gen(flags);
-    }
     if (command == "snap") {
       return cmd_snap(flags);
     }
