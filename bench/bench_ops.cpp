@@ -596,10 +596,11 @@ void report_text_throughput() {
 
 // Online-adaptation feedback throughput: one AdaptiveState over an mmapped
 // classifier snapshot, fed a mistake-heavy labelled stream.  Each feedback
-// row costs an encode, a predict and (on a miss) a copy-on-write row
-// update, all under the state mutex — the `!adapt` control-path budget.
-// The CI gate pins a floor on feedback rows/s so the overlay never
-// regresses to cloning the whole model per sample.
+// row costs an encode, a predict and (on a miss) an in-place re-pack of the
+// two touched rows of the overlay's class arena (copied from the base once,
+// by the first update), all under the state mutex — the `!adapt`
+// control-path budget.  The CI gate pins a floor on feedback rows/s so the
+// overlay never regresses to copying the whole model per sample.
 void report_adapt_throughput() {
   constexpr std::size_t kDim = 10'240;
   constexpr std::size_t kRows = 4'096;

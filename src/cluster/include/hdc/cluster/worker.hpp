@@ -171,8 +171,9 @@ class Worker {
                                                 std::size_t nrows,
                                                 std::size_t nfeat,
                                                 const char* truncated);
-  /// The Classes-scheme slice sweep over \p state's arenas, or over
-  /// \p overlay's when the rank has accepted feedback (else null).
+  /// The Classes-scheme slice sweep over the current model's arena:
+  /// \p state's, or \p overlay's once the rank has accepted feedback
+  /// (else null).
   void predict_classes(const serve::ServingStatePtr& state,
                        const serve::AdaptiveState* overlay,
                        const serve::SampleBatch& batch, bool head,

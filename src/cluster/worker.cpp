@@ -14,8 +14,8 @@
 #include "hdc/core/bitops.hpp"
 #include "hdc/core/classifier.hpp"
 #include "hdc/core/confidence.hpp"
-#include "hdc/core/hypervector.hpp"
 #include "hdc/core/regressor.hpp"
+#include "hdc/core/word_storage.hpp"
 #include "hdc/runtime/thread_pool.hpp"
 
 namespace hdc::cluster {
@@ -327,27 +327,26 @@ void Worker::predict_classes(const serve::ServingStatePtr& state,
                              std::string& out) {
   const io::Pipeline& p = state->pipeline();
   const bool classifies = p.kind() == io::PipelineKind::Classifier;
-  const AdaptiveClassifier* adaptive =
-      overlay != nullptr ? overlay->classifier() : nullptr;
-  // The scanned arena: class-vectors for a classifier, the (possibly
-  // adapted) model's keyed label rows M ⊗ L_l for a regressor — either way
-  // the raw query is swept, with no per-row unbinding.
+  // The scanned arena of the current model (the overlay's once the rank
+  // has accepted feedback): class-vectors for a classifier, the keyed label
+  // rows M ⊗ L_l for a regressor — either way the raw query is swept, with
+  // no per-row unbinding.
   std::span<const std::uint64_t> arena;
-  std::size_t stride = 0;
   std::size_t candidates = 0;
   if (classifies) {
-    const CentroidClassifier& model = p.classifier();
+    const CentroidClassifier& model = overlay != nullptr
+                                          ? overlay->classifier()->current()
+                                          : p.classifier();
     arena = model.packed_class_words();
-    stride = model.words_per_class();
     candidates = model.num_classes();
   } else {
     const HDRegressor& model = overlay != nullptr
                                    ? overlay->regressor()->current()
                                    : p.regressor();
     arena = model.keyed_label_words();
-    stride = bits::words_for(model.dimension());
     candidates = model.labels().size();
   }
+  const std::size_t stride = bits::words_for(p.dimension());
   const std::size_t begin = shard_begin(cfg_.rank, cfg_.replicas, candidates);
   const std::size_t end = shard_end(cfg_.rank, cfg_.replicas, candidates);
 
@@ -366,38 +365,27 @@ void Worker::predict_classes(const serve::ServingStatePtr& state,
     }
     return;
   }
-  predictor_.for_each_encoded(
-      state, batch, [&](std::size_t /*row*/, HypervectorView query) {
-        const auto words = query.words();
-        if (classifies && head) {
-          const Top2 top =
-              adaptive != nullptr
-                  ? adaptive->top2_in_slice(query, begin, end)
-                  : top2_hamming(words, arena.subspan(begin * stride), stride,
-                                 end - begin, begin);
-          put_u64(out, top.best.distance);
-          put_u64(out, top.best.index);
-          put_u64(out, top.second.distance);
-          put_u64(out, top.second.index);
-        } else if (adaptive != nullptr) {
-          // The overlay scan substitutes adapted rows inside the slice and
-          // returns the global index directly.
-          const auto [distance, index] =
-              adaptive->nearest_in_slice(query, begin, end);
-          put_u64(out, distance);
-          put_u64(out, index);
-        } else if (!classifies && head) {
-          for (std::size_t j = begin; j < end; ++j) {
-            put_u64(out,
-                    bits::hamming(words, arena.subspan(j * stride, stride)));
-          }
-        } else {
-          const bits::NearestMatch best = bits::nearest_hamming(
-              words, arena.subspan(begin * stride), stride, end - begin);
-          put_u64(out, best.distance);
-          put_u64(out, begin + best.index);
-        }
-      });
+  const auto slice = arena.subspan(begin * stride);
+  AlignedWords query(stride);
+  for (std::size_t i = 0; i < serve::batch_size(batch); ++i) {
+    p.encode_into(serve::sample_at(batch, i), query);
+    if (classifies && head) {
+      const Top2 top = top2_hamming(query, slice, stride, end - begin, begin);
+      put_u64(out, top.best.distance);
+      put_u64(out, top.best.index);
+      put_u64(out, top.second.distance);
+      put_u64(out, top.second.index);
+    } else if (!classifies && head) {
+      for (std::size_t j = begin; j < end; ++j) {
+        put_u64(out, bits::hamming(query, arena.subspan(j * stride, stride)));
+      }
+    } else {
+      const bits::NearestMatch best =
+          bits::nearest_hamming(query, slice, stride, end - begin);
+      put_u64(out, best.distance);
+      put_u64(out, begin + best.index);
+    }
+  }
 }
 
 std::string Worker::handle_reload(std::string_view body) {

@@ -1,13 +1,11 @@
 #include "hdc/core/adaptive.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "hdc/base/require.hpp"
-#include "hdc/core/bitops.hpp"
 #include "hdc/core/ops.hpp"
 
 namespace hdc {
@@ -45,81 +43,17 @@ AdaptiveClassifier::AdaptiveClassifier(
   tie_breaker_ = Hypervector::random(base_->dimension(), rng);
 }
 
-std::size_t AdaptiveClassifier::predict(HypervectorView query) const {
-  return nearest_in_slice(query, 0, num_classes()).second;
-}
-
-std::pair<std::uint64_t, std::size_t> AdaptiveClassifier::nearest_in_slice(
-    HypervectorView query, std::size_t begin, std::size_t end) const {
-  require(query.dimension() == dimension(),
-          "AdaptiveClassifier::nearest_in_slice", "query dimension mismatch");
-  require(begin < end && end <= num_classes(),
-          "AdaptiveClassifier::nearest_in_slice", "slice out of range");
-  const std::size_t stride = base_->words_per_class();
-  std::vector<std::size_t> distances(end - begin);
-  bits::hamming_many(query.words(),
-                     base_->packed_class_words().subspan(begin * stride),
-                     stride, end - begin, distances);
-  // Substitute overlay rows after the fused base scan: cheaper than a
-  // per-class branch, and the map walk touches only the overlaid slice.
-  for (auto it = overlay_.lower_bound(begin);
-       it != overlay_.end() && it->first < end; ++it) {
-    distances[it->first - begin] = bits::hamming(
-        query.words(), std::span<const std::uint64_t>(it->second.row));
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < distances.size(); ++i) {
-    if (distances[i] < distances[best]) {
-      best = i;
-    }
-  }
-  return {static_cast<std::uint64_t>(distances[best]), begin + best};
-}
-
-Top2 AdaptiveClassifier::top2_in_slice(HypervectorView query,
-                                       std::size_t begin,
-                                       std::size_t end) const {
-  require(query.dimension() == dimension(), "AdaptiveClassifier::top2_in_slice",
-          "query dimension mismatch");
-  require(begin < end && end <= num_classes(),
-          "AdaptiveClassifier::top2_in_slice", "slice out of range");
-  const std::size_t stride = base_->words_per_class();
-  std::vector<std::size_t> distances(end - begin);
-  bits::hamming_many(query.words(),
-                     base_->packed_class_words().subspan(begin * stride),
-                     stride, end - begin, distances);
-  for (auto it = overlay_.lower_bound(begin);
-       it != overlay_.end() && it->first < end; ++it) {
-    distances[it->first - begin] = bits::hamming(
-        query.words(), std::span<const std::uint64_t>(it->second.row));
-  }
-  Top2 top{};
-  for (std::size_t i = 0; i < distances.size(); ++i) {
-    top2_offer(top, Candidate{static_cast<std::uint64_t>(distances[i]),
-                              static_cast<std::uint64_t>(begin + i)});
-  }
-  return top;
-}
-
-Top2 AdaptiveClassifier::predict_top2(HypervectorView query) const {
-  return top2_in_slice(query, 0, num_classes());
-}
-
-AdaptiveClassifier::Overlay& AdaptiveClassifier::touch(std::size_t label) {
-  const auto it = overlay_.find(label);
-  if (it != overlay_.end()) {
+BundleAccumulator& AdaptiveClassifier::touch(std::size_t label) {
+  const auto it = touched_.find(label);
+  if (it != touched_.end()) {
     return it->second;
   }
-  const HypervectorView base_row = row_view(
-      base_->packed_class_words(), dimension(), base_->words_per_class(), label);
-  Overlay overlay{BundleAccumulator(dimension()),
-                  std::vector<std::uint64_t>(base_row.words().begin(),
-                                             base_row.words().end())};
   // One majority vote for the snapshot state: counter = bit ? +1 : -1.  The
   // original training counters are not serialized, so the overlay treats the
   // finalized row itself as the prior each feedback sample then shifts.
-  overlay.acc.add(base_row);
-  return overlay_.emplace(label, std::move(overlay)).first->second;
+  BundleAccumulator acc(dimension());
+  acc.add(base_->class_vector(label));
+  return touched_.emplace(label, std::move(acc)).first->second;
 }
 
 std::size_t AdaptiveClassifier::adapt(std::size_t label,
@@ -131,56 +65,34 @@ std::size_t AdaptiveClassifier::adapt(std::size_t label,
   const std::size_t predicted = predict(encoded);
   ++seen_;
   if (predicted != label) {
-    Overlay& truth = touch(label);
-    Overlay& missed = touch(predicted);  // std::map: no reference invalidation.
-    truth.acc.add(encoded);
-    missed.acc.subtract(encoded);
-    pack_row(truth.acc.finalize(tie_breaker_), truth.row,
-             base_->words_per_class(), 0);
-    pack_row(missed.acc.finalize(tie_breaker_), missed.row,
-             base_->words_per_class(), 0);
+    if (!adapted_) {
+      adapted_ = base_->detach();
+    }
+    BundleAccumulator& truth = touch(label);
+    BundleAccumulator& missed = touch(predicted);  // std::map: stable refs.
+    truth.add(encoded);
+    missed.subtract(encoded);
+    adapted_->store_class(label, truth.finalize(tie_breaker_));
+    adapted_->store_class(predicted, missed.finalize(tie_breaker_));
     ++updates_;
   }
   return predicted;
 }
 
-std::span<const std::uint64_t> AdaptiveClassifier::class_row(
-    std::size_t label) const {
-  require(label < num_classes(), "AdaptiveClassifier::class_row",
-          "label out of range");
-  const auto it = overlay_.find(label);
-  if (it != overlay_.end()) {
-    return it->second.row;
-  }
-  const std::size_t stride = base_->words_per_class();
-  return base_->packed_class_words().subspan(label * stride, stride);
-}
-
 std::map<std::size_t, std::vector<std::uint64_t>>
 AdaptiveClassifier::changed_rows() const {
   std::map<std::size_t, std::vector<std::uint64_t>> rows;
-  for (const auto& [label, overlay] : overlay_) {
-    rows.emplace(label, overlay.row);
+  for (const auto& entry : touched_) {
+    const auto words = current().class_vector(entry.first).words();
+    rows.emplace(entry.first,
+                 std::vector<std::uint64_t>(words.begin(), words.end()));
   }
   return rows;
 }
 
-CentroidClassifier AdaptiveClassifier::materialize() const {
-  const auto base_words = base_->packed_class_words();
-  std::vector<std::uint64_t> arena(base_words.begin(), base_words.end());
-  const std::size_t stride = base_->words_per_class();
-  for (const auto& [label, overlay] : overlay_) {
-    std::copy(overlay.row.begin(), overlay.row.end(),
-              arena.begin() + static_cast<std::ptrdiff_t>(label * stride));
-  }
-  // Overlay rows come from pack_row(finalize(...)) so the tail invariant
-  // holds by construction; skip the re-scan.
-  return CentroidClassifier::from_packed_class_words(
-      num_classes(), dimension(), WordStorage(std::move(arena)), unchecked);
-}
-
 void AdaptiveClassifier::reset() noexcept {
-  overlay_.clear();
+  adapted_.reset();
+  touched_.clear();
   seen_ = 0;
   updates_ = 0;
 }

@@ -21,6 +21,19 @@ namespace hdc::bits::detail {
 
 namespace {
 
+/// The sum of the 8 64-bit lanes, stored and added in scalar code: GCC 12's
+/// _mm512_reduce_add_epi64 trips -Werror=uninitialized inside its own
+/// header (an _mm256_undefined_si256 in _mm512_extracti64x4_epi64).
+std::size_t lane_sum(__m512i v) noexcept {
+  alignas(64) std::uint64_t lanes[8];
+  _mm512_store_si512(lanes, v);
+  std::size_t total = 0;
+  for (const std::uint64_t lane : lanes) {
+    total += static_cast<std::size_t>(lane);
+  }
+  return total;
+}
+
 std::size_t avx512_hamming(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t n) noexcept {
   __m512i acc0 = _mm512_setzero_si512();
@@ -41,8 +54,7 @@ std::size_t avx512_hamming(const std::uint64_t* a, const std::uint64_t* b,
                                        _mm512_loadu_si512(b + i));
     acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(x));
   }
-  std::size_t total = static_cast<std::size_t>(
-      _mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1)));
+  std::size_t total = lane_sum(_mm512_add_epi64(acc0, acc1));
   for (; i < n; ++i) {
     total += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
   }
@@ -69,8 +81,7 @@ std::size_t avx512_count_ones(const std::uint64_t* words,
     acc = _mm512_add_epi64(
         acc, _mm512_popcnt_epi64(_mm512_loadu_si512(words + i)));
   }
-  std::size_t total =
-      static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  std::size_t total = lane_sum(acc);
   for (; i < n; ++i) {
     total += static_cast<std::size_t>(std::popcount(words[i]));
   }

@@ -114,6 +114,10 @@ void CentroidClassifier::absorb(std::size_t label,
 }
 
 void CentroidClassifier::store_class(std::size_t label, HypervectorView vector) {
+  require(label < num_classes_, "CentroidClassifier::store_class",
+          "label out of range");
+  require(vector.dimension() == dimension_, "CentroidClassifier::store_class",
+          "vector dimension mismatch");
   pack_row(vector, class_arena_.mutable_words(), words_per_class_, label);
 }
 

@@ -13,17 +13,17 @@
 ///
 ///  * the base model (typically borrowed straight off an
 ///    `hdc::io::MappedSnapshot`) stays untouched and keeps serving;
-///  * the first `adapt()` that touches a class clones only that class's row
-///    into an owning overlay and seeds a fresh accumulator from the row's
-///    bits (counter = bit ? +1 : -1 — one majority vote for the snapshot
-///    state), so memory grows with the number of *touched* classes, not the
-///    model size;
-///  * `predict()` reads overlay rows where they exist and base rows
-///    everywhere else, with the same argmin-lowest-index tie-break as
-///    `CentroidClassifier::predict` — so an overlay with no touched rows is
-///    bit-identical to the base, and `materialize()` (a full owning model
-///    with overlay rows patched in) always predicts bit-identically to the
-///    overlay it came from.
+///  * the first `adapt()` that changes a classifier copies the base class
+///    arena once (C × d/8 bytes) into an owning inference-only model, and
+///    later updates re-pack only the touched rows of that copy, in place; a
+///    regressor's overlay is its one model row, rebuilt with its keyed
+///    label rows by every update;
+///  * each touched row gets an accumulator seeded from the row's bits
+///    (counter = bit ? +1 : -1 — one majority vote for the snapshot state);
+///  * `current()` is the model every readout sweeps: the base until the
+///    first update, the copy after it.  An overlay with no update is
+///    therefore bit-identical to the base, and `materialize()` is an owning
+///    copy of `current()`.
 ///
 /// The touched rows are exactly the payload of an HDCS v4 delta section
 /// (`hdc::io::SnapshotWriter::add_delta`): an adapted model ships as base +
@@ -33,15 +33,17 @@
 /// fed the same feedback stream are bit-identical — the property the cluster
 /// layer relies on when broadcasting `!adapt` feedback to every rank.
 ///
-/// Thread safety: const members are safe to call concurrently; `adapt()` is
-/// not (callers serialize, e.g. `hdc::serve::AdaptiveState`).
+/// Thread safety: const members are safe to call concurrently; `adapt()`
+/// re-packs rows in place, so it must run alone — no other adapt() and no
+/// reader of `current()` beside it (callers serialize, e.g.
+/// `hdc::serve::AdaptiveState`).
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "hdc/core/accumulator.hpp"
@@ -66,7 +68,7 @@ inline constexpr std::uint64_t kDefaultAdaptSeed = 0xADA57A7EULL;
 [[nodiscard]] std::size_t checked_class_label(double target,
                                               std::size_t num_classes);
 
-/// Mistake-driven classifier overlay: copy-on-write class rows over a
+/// Mistake-driven classifier overlay: a copy-on-write class arena over a
 /// shared, finalized (usually snapshot-backed) `CentroidClassifier`.
 class AdaptiveClassifier {
  public:
@@ -88,80 +90,58 @@ class AdaptiveClassifier {
     return *base_;
   }
 
-  /// argmin_i delta(query, row_i) where row_i is the overlay row when class
-  /// i was touched and the base row otherwise; ties keep the lowest index
-  /// (bit-identical to CentroidClassifier::predict on materialize()).
-  /// \throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] std::size_t predict(HypervectorView query) const;
+  /// The current model: the adapted copy once adapt() changed a row, else
+  /// the base.  Every readout is this model's; a reference stays valid
+  /// (rows re-packed in place) until the next reset().
+  [[nodiscard]] const CentroidClassifier& current() const noexcept {
+    return adapted_ ? *adapted_ : *base_;
+  }
 
-  /// Best `(Hamming distance, global class index)` over classes
-  /// [begin, end), reading overlay rows where they exist — the sharded
-  /// Classes-scheme slice scan.  Lexicographic minima over disjoint
-  /// ascending slices reduce to exactly predict()'s argmin with
-  /// lowest-index ties.  \throws std::invalid_argument on dimension
-  /// mismatch or an empty/out-of-range slice.
-  [[nodiscard]] std::pair<std::uint64_t, std::size_t> nearest_in_slice(
-      HypervectorView query, std::size_t begin, std::size_t end) const;
+  /// current().predict(query).  \throws std::invalid_argument on dimension
+  /// mismatch.
+  [[nodiscard]] std::size_t predict(HypervectorView query) const {
+    return current().predict(query);
+  }
 
-  /// Top-2 (distance, global index) candidates over classes [begin, end),
-  /// overlay rows substituted — the head-carrying variant of
-  /// nearest_in_slice().  merge_top2() over disjoint ascending slices
-  /// equals top2_in_slice() over the union, which is what keeps cluster
-  /// confidence bit-identical to one process.  \throws as
-  /// nearest_in_slice().
-  [[nodiscard]] Top2 top2_in_slice(HypervectorView query, std::size_t begin,
-                                   std::size_t end) const;
-
-  /// Top-2 over every class; `best` matches predict(), and
-  /// margin_confidence() of the result is the adapted model's confidence
-  /// head.  \throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] Top2 predict_top2(HypervectorView query) const;
-
-  /// One mistake-driven update: predicts \p encoded; on a miss clones the
-  /// true and predicted class rows into the overlay (first touch only),
-  /// adds the sample to the true class, subtracts it from the predicted
-  /// one, and re-thresholds both rows.  The model stays queryable-consistent
-  /// after every call — there is no finalize() step to forget.  Returns the
-  /// pre-update prediction.
+  /// One mistake-driven update: predicts \p encoded; on a miss copies the
+  /// base class arena (first update only), adds the sample to the true
+  /// class's accumulator, subtracts it from the predicted one's (each seeded
+  /// on first touch), and re-packs both rows in place.  The model stays
+  /// queryable-consistent after every call — there is no finalize() step to
+  /// forget.  Returns the pre-update prediction.
   /// \throws std::invalid_argument on bad label or dimension mismatch.
   std::size_t adapt(std::size_t label, HypervectorView encoded);
-
-  /// Class \p label's current row: the overlay row if touched, else the
-  /// base row.  \throws std::invalid_argument on a bad label.
-  [[nodiscard]] std::span<const std::uint64_t> class_row(
-      std::size_t label) const;
 
   /// The touched rows, keyed by class index in ascending order — exactly
   /// the per-class changed-row patches of an HDCS delta section.
   [[nodiscard]] std::map<std::size_t, std::vector<std::uint64_t>>
   changed_rows() const;
 
-  /// Number of classes with an overlay row.
+  /// Number of classes an update has touched.
   [[nodiscard]] std::size_t touched_classes() const noexcept {
-    return overlay_.size();
+    return touched_.size();
   }
   /// Feedback rows seen / rows that actually updated the model.
   [[nodiscard]] std::uint64_t feedback_rows() const noexcept { return seen_; }
   [[nodiscard]] std::uint64_t updates() const noexcept { return updates_; }
 
-  /// A full owning, inference-only `CentroidClassifier` with the overlay
-  /// rows patched into a copy of the base arena; predicts bit-identically
-  /// to this overlay.
-  [[nodiscard]] CentroidClassifier materialize() const;
+  /// An owning, inference-only copy of current().
+  [[nodiscard]] CentroidClassifier materialize() const {
+    return current().detach();
+  }
 
-  /// Drops every overlay row: the model is the base again.
+  /// Drops the adapted copy and every accumulator: the model is the base
+  /// again.
   void reset() noexcept;
 
  private:
-  struct Overlay {
-    BundleAccumulator acc;
-    std::vector<std::uint64_t> row;
-  };
-
-  Overlay& touch(std::size_t label);
+  BundleAccumulator& touch(std::size_t label);
 
   std::shared_ptr<const CentroidClassifier> base_;
-  std::map<std::size_t, Overlay> overlay_;
+  /// The adapted copy of the base arena, made by the first update.
+  std::optional<CentroidClassifier> adapted_;
+  /// Touched class -> its accumulator.
+  std::map<std::size_t, BundleAccumulator> touched_;
   Hypervector tie_breaker_;
   std::uint64_t seen_ = 0;
   std::uint64_t updates_ = 0;

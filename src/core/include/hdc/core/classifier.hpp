@@ -173,6 +173,13 @@ class CentroidClassifier {
   /// for inference-only models (the accumulators are not serialized).
   [[nodiscard]] std::size_t class_count(std::size_t label) const;
 
+  /// Overwrites class-vector \p label in the packed arena, leaving every
+  /// other row as it is: how an adaptation overlay (hdc::AdaptiveClassifier)
+  /// re-packs the rows feedback touched in its owning copy of a restored
+  /// model.  \throws std::invalid_argument on a bad label or dimension;
+  /// std::logic_error when the arena is borrowed (read-only).
+  void store_class(std::size_t label, HypervectorView vector);
+
  private:
   /// Uninitialized shell for the inference-only restore paths, which skip
   /// the accumulator and tie-breaker allocation entirely (restoring a model
@@ -181,7 +188,6 @@ class CentroidClassifier {
 
   void require_finalized(const char* where) const;
   void require_trainable(const char* where) const;
-  void store_class(std::size_t label, HypervectorView vector);
 
   std::size_t dimension_ = 0;
   std::size_t num_classes_ = 0;

@@ -15,13 +15,16 @@
 ///
 /// A restored Pipeline borrows its basis arenas from the snapshot and must
 /// not outlive it.  All prediction paths are const and safe to call
-/// concurrently; the `batch_*` bridges fan a pipeline out over the
-/// hdc::runtime thread pool.
+/// concurrently.  Every encoding goes through one in-place entry point,
+/// `encode_into(Sample, row)`; the allocating and `batch_*` entry points
+/// wrap it.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
+#include <variant>
 
 #include "hdc/core/classifier.hpp"
 #include "hdc/core/composed_encoder.hpp"
@@ -49,9 +52,8 @@ enum class PipelineKind : std::uint8_t {
 
 /// What a restored pipeline consumes: numeric feature rows (every scalar /
 /// feature / composed encoder) or raw text (sequence / n-gram encoders).
-/// The two input modes have disjoint entry points — encode()/classify()/
-/// regress() for Numeric, encode_text()/classify_text()/regress_text() for
-/// Text — and crossing them throws std::logic_error.
+/// A sample of the other mode throws std::invalid_argument (a
+/// std::logic_error).
 enum class PipelineInput : std::uint8_t {
   Numeric = 0,
   Text = 1,
@@ -59,6 +61,10 @@ enum class PipelineInput : std::uint8_t {
 
 /// Human-readable input-mode name ("numeric" / "text").
 [[nodiscard]] const char* to_string(PipelineInput input) noexcept;
+
+/// One sample: a numeric feature row, or one raw-text line for text
+/// pipelines.
+using Sample = std::variant<std::span<const double>, std::string_view>;
 
 /// A ready-to-serve encode->predict pipeline restored from a snapshot.
 ///
@@ -93,8 +99,15 @@ class Pipeline {
   /// feature vectors — check input() first).
   [[nodiscard]] std::size_t num_features() const noexcept;
 
-  /// Encodes one feature row exactly as the written pipeline did.
-  /// \throws std::invalid_argument if features.size() != num_features().
+  /// Encodes \p sample into \p out (bits::words_for(dimension()) words,
+  /// overwritten) exactly as the written pipeline did — the one encoding
+  /// step every other entry point wraps.  Text samples go through the
+  /// const, warmed-symbol path, so this is safe to call concurrently.
+  /// \throws std::invalid_argument when the sample's mode disagrees with
+  /// input(), on a wrong arity or an empty text, or on a wrong-size \p out.
+  void encode_into(const Sample& sample, std::span<std::uint64_t> out) const;
+
+  /// encode_into() into a fresh hypervector.  \throws as encode_into().
   [[nodiscard]] Hypervector encode(std::span<const double> features) const;
 
   /// encode() + nearest-class prediction.  \throws std::logic_error on a
@@ -106,10 +119,7 @@ class Pipeline {
   /// encode().
   [[nodiscard]] double regress(std::span<const double> features) const;
 
-  /// Encodes one raw text row exactly as the written pipeline did (the
-  /// const, warmed-symbol path — safe to call concurrently).  \throws
-  /// std::logic_error on a numeric pipeline; std::invalid_argument if text
-  /// is empty.
+  /// The text twin of encode().  \throws as encode_into().
   [[nodiscard]] Hypervector encode_text(std::string_view text) const;
 
   /// encode_text() + nearest-class prediction.  \throws std::logic_error on
@@ -150,12 +160,12 @@ class Pipeline {
     return ngram_.get();
   }
 
-  /// hdc::runtime bridges: a BatchEncoder wrapping this pipeline's encode()
-  /// and Batch{Classifier,Regressor} engines adopting (a shallow copy of)
-  /// the restored model.  The encoder lambda shares the pipeline's encoder
-  /// state, so the engines outlive this Pipeline object — but never the
-  /// snapshot it borrows from.  \throws std::invalid_argument if pool is
-  /// null; std::logic_error on a kind mismatch.
+  /// hdc::runtime bridges: a BatchEncoder wrapping this pipeline's
+  /// encode_into() and Batch{Classifier,Regressor} engines adopting (a
+  /// shallow copy of) the restored model.  The encoder lambda holds a copy
+  /// of this pipeline, so the engines outlive this Pipeline object — but
+  /// never the snapshot it borrows from.  \throws std::invalid_argument if
+  /// pool is null; std::logic_error on a kind or input-mode mismatch.
   [[nodiscard]] runtime::BatchEncoder batch_encoder(
       runtime::ThreadPoolPtr pool) const;
   [[nodiscard]] runtime::BatchClassifier batch_classifier(

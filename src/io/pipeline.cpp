@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "hdc/core/bitops.hpp"
+
 namespace hdc::io {
 
 const char* to_string(PipelineKind kind) noexcept {
@@ -103,23 +105,55 @@ std::size_t Pipeline::num_features() const noexcept {
   return composed_ ? composed_->num_features() : 1;
 }
 
-Hypervector Pipeline::encode(std::span<const double> features) const {
-  if (features_) {
-    return features_->encode(features);
+namespace {
+
+/// Copies an encoder's result into the caller's row.
+void store(HypervectorView encoded, std::span<std::uint64_t> out) {
+  if (encoded.words().size() != out.size()) {
+    throw std::invalid_argument(
+        "Pipeline::encode_into: the encoder disagrees with the pipeline "
+        "dimension");
   }
+  std::ranges::copy(encoded.words(), out.begin());
+}
+
+}  // namespace
+
+void Pipeline::encode_into(const Sample& sample,
+                           std::span<std::uint64_t> out) const {
+  const auto* text = std::get_if<std::string_view>(&sample);
+  if ((text != nullptr) != (input() == PipelineInput::Text)) {
+    throw std::invalid_argument(
+        std::string("Pipeline: the pipeline takes ") + to_string(input()) +
+        " rows, not " + (text != nullptr ? "text" : "numeric") + " rows");
+  }
+  if (out.size() != bits::words_for(dimension_)) {
+    throw std::invalid_argument(
+        "Pipeline::encode_into: out must hold words_for(dimension) words");
+  }
+  if (text != nullptr) {
+    store(sequence_ ? sequence_->encode_word(*text) : ngram_->encode(*text),
+          out);
+    return;
+  }
+  const auto features = std::get<std::span<const double>>(sample);
   if (composed_) {
-    return composed_->encode(features);
-  }
-  if (sequence_ || ngram_) {
-    throw std::logic_error(
-        "Pipeline::encode: text pipelines take raw rows via encode_text()");
-  }
-  if (features.size() != 1) {
+    composed_->encode_into(features, out);
+  } else if (features_) {
+    store(features_->encode(features), out);
+  } else if (features.size() != 1) {
     throw std::invalid_argument(
         "Pipeline::encode: scalar-encoder pipelines take exactly one "
         "feature");
+  } else {
+    store(scalar_->encode(features[0]), out);
   }
-  return Hypervector(scalar_->encode(features[0]));
+}
+
+Hypervector Pipeline::encode(std::span<const double> features) const {
+  Hypervector out(dimension_);
+  encode_into(features, out.words());
+  return out;
 }
 
 std::size_t Pipeline::classify(std::span<const double> features) const {
@@ -131,14 +165,9 @@ double Pipeline::regress(std::span<const double> features) const {
 }
 
 Hypervector Pipeline::encode_text(std::string_view text) const {
-  if (sequence_) {
-    return sequence_->encode_word(text);
-  }
-  if (ngram_) {
-    return ngram_->encode(text);
-  }
-  throw std::logic_error(
-      "Pipeline::encode_text: this is a numeric pipeline; use encode()");
+  Hypervector out(dimension_);
+  encode_into(text, out.words());
+  return out;
 }
 
 std::size_t Pipeline::classify_text(std::string_view text) const {
@@ -183,58 +212,33 @@ std::shared_ptr<const HDRegressor> Pipeline::regressor_ptr() const {
 
 runtime::BatchEncoder Pipeline::batch_encoder(
     runtime::ThreadPoolPtr pool) const {
-  // Every branch captures the shared encoder state, not this Pipeline
-  // object; the engine stays valid as long as the snapshot mapping does.
-  if (sequence_ || ngram_) {
+  if (input() == PipelineInput::Text) {
     throw std::logic_error(
         "Pipeline::batch_encoder: text pipelines batch via "
         "batch_text_encoder()");
   }
-  runtime::BatchEncoder::EncodeFn encode;
-  if (features_) {
-    encode = [encoder = features_](std::span<const double> row,
-                                   std::span<std::uint64_t> out) {
-      std::ranges::copy(encoder->encode(row).words(), out.begin());
-    };
-  } else if (composed_) {
-    encode = [encoder = composed_](std::span<const double> row,
-                                   std::span<std::uint64_t> out) {
-      encoder->encode_into(row, out);
-    };
-  } else {
-    encode = [encoder = scalar_](std::span<const double> row,
-                                 std::span<std::uint64_t> out) {
-      if (row.size() != 1) {
-        throw std::invalid_argument(
-            "Pipeline batch encoder: scalar-encoder pipelines take exactly "
-            "one feature per row");
-      }
-      std::ranges::copy(encoder->encode(row[0]).words(), out.begin());
-    };
-  }
-  return runtime::BatchEncoder(dimension_, std::move(encode), std::move(pool));
+  return runtime::BatchEncoder(
+      dimension_,
+      [pipeline = *this](std::span<const double> row,
+                         std::span<std::uint64_t> out) {
+        pipeline.encode_into(row, out);
+      },
+      std::move(pool));
 }
 
 runtime::BatchTextEncoder Pipeline::batch_text_encoder(
     runtime::ThreadPoolPtr pool) const {
-  // Capture the shared encoder handle, not this Pipeline object, so the
-  // engine stays valid as long as the snapshot mapping does.
-  runtime::BatchTextEncoder::TextEncodeFn encode;
-  if (sequence_) {
-    encode = [encoder = sequence_](std::string_view text) {
-      return encoder->encode_word(text);
-    };
-  } else if (ngram_) {
-    encode = [encoder = ngram_](std::string_view text) {
-      return encoder->encode(text);
-    };
-  } else {
+  if (input() != PipelineInput::Text) {
     throw std::logic_error(
         "Pipeline::batch_text_encoder: this is a numeric pipeline; use "
         "batch_encoder()");
   }
-  return runtime::BatchTextEncoder(dimension_, std::move(encode),
-                                   std::move(pool));
+  return runtime::BatchTextEncoder(
+      dimension_,
+      [pipeline = *this](std::string_view text) {
+        return pipeline.encode_text(text);
+      },
+      std::move(pool));
 }
 
 runtime::BatchClassifier Pipeline::batch_classifier(

@@ -2,11 +2,22 @@
 
 #include <stdexcept>
 #include <utility>
-#include <variant>
 
+#include "hdc/core/bitops.hpp"
+#include "hdc/core/word_storage.hpp"
 #include "hdc/io/delta.hpp"
 
 namespace hdc::serve {
+
+namespace {
+
+Hypervector encode(const io::Pipeline& pipeline, const Sample& sample) {
+  Hypervector encoded(pipeline.dimension());
+  pipeline.encode_into(sample, encoded.words());
+  return encoded;
+}
+
+}  // namespace
 
 AdaptiveState::AdaptiveState(ServingStatePtr base, std::uint64_t seed)
     : base_(std::move(base)) {
@@ -37,7 +48,7 @@ std::size_t AdaptiveState::num_features() const {
 AdaptOutcome AdaptiveState::adapt(const Sample& sample, double target) {
   // Encoding is const over shared encoder state; only the overlay update
   // itself needs the lock.
-  const Hypervector encoded = encode_sample(base_->pipeline(), sample);
+  const Hypervector encoded = encode(base_->pipeline(), sample);
   AdaptOutcome out;
   const std::lock_guard<std::mutex> lock(mutex_);
   if (classifier_ != nullptr) {
@@ -62,55 +73,39 @@ AdaptOutcome AdaptiveState::adapt(const Sample& sample, double target) {
 }
 
 Predictions AdaptiveState::predict(const SampleBatch& batch, HeadMode head) {
-  Predictions out;
-  out.generation = base_->generation();
+  const io::Pipeline& pipeline = base_->pipeline();
   const std::size_t count = batch_size(batch);
-  out.predictions.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Hypervector encoded = encode_sample(
-        base_->pipeline(),
-        std::visit([i](const auto& rows) { return Sample(rows[i]); }, batch));
-    if (head != HeadMode::None && classifier_ != nullptr) {
-      Top2 top2;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        top2 = classifier_->predict_top2(encoded);
-      }
-      out.predictions.push_back(static_cast<double>(top2.best.index));
-      out.confidences.push_back(margin_confidence(top2));
-      continue;
-    }
-    out.predictions.push_back(predict_encoded(encoded));
-    if (head != HeadMode::None) {
-      out.bands.push_back(band_encoded(encoded));
-    }
+  Predictions out =
+      sized_predictions(pipeline.kind(), count, head, base_->generation());
+  AlignedWords row(bits::words_for(pipeline.dimension()));
+  // The whole batch reads one model: feedback lands between batches.
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (classifier_ != nullptr) {
+    predict_rows(pipeline, classifier_->current(), batch, 0, count, head, row,
+                 out);
+  } else {
+    predict_rows(pipeline, regressor_->current(), batch, 0, count, head, row,
+                 out);
   }
   return out;
 }
 
-double AdaptiveState::predict_encoded(const Hypervector& encoded) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (classifier_ != nullptr) {
-    return static_cast<double>(classifier_->predict(encoded));
-  }
-  return regressor_->predict(encoded);
-}
-
 double AdaptiveState::predict(const Sample& sample) const {
-  return predict_encoded(encode_sample(base_->pipeline(), sample));
+  const Hypervector encoded = encode(base_->pipeline(), sample);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return classifier_ != nullptr
+             ? static_cast<double>(classifier_->current().predict(encoded))
+             : regressor_->current().predict(encoded);
 }
 
-Band AdaptiveState::band_encoded(const Hypervector& encoded) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+Band AdaptiveState::predict_band(const Sample& sample) const {
   if (regressor_ == nullptr) {
     throw std::logic_error(
         "AdaptiveState: band heads come from regressor overlays");
   }
-  return regressor_->predict_band(encoded);
-}
-
-Band AdaptiveState::predict_band(const Sample& sample) const {
-  return band_encoded(encode_sample(base_->pipeline(), sample));
+  const Hypervector encoded = encode(base_->pipeline(), sample);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return regressor_->current().predict_band(encoded);
 }
 
 std::uint64_t AdaptiveState::reload(const std::string& /*path*/) {
@@ -156,8 +151,9 @@ std::map<std::size_t, std::vector<std::uint64_t>> AdaptiveState::changed_rows()
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   return io::diff_rows(base, section, [this](std::size_t i) {
-    return classifier_ != nullptr ? classifier_->class_row(i)
-                                  : regressor_->model_words();
+    return classifier_ != nullptr
+               ? classifier_->current().class_vector(i).words()
+               : regressor_->model_words();
   });
 }
 

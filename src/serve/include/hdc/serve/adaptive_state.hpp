@@ -10,13 +10,15 @@
 /// overlay (hdc/core/adaptive.hpp) next to it:
 ///
 ///  * `adapt()` takes one `(sample, target)` feedback row, encodes it
-///    over the pinned pipeline and applies the mistake-driven update —
-///    only the touched class rows are cloned; the mmapped base keeps
-///    serving untouched, so base and adapted generations are A/B-servable
-///    from one process (`!use base|adapted`);
-///  * `predict()` answers over the overlay (the "adapted" side of the A/B),
-///    row at a time: feedback is a low-rate refinement stream, so this side
-///    trades batch throughput for the freshest model on every row;
+///    over the pinned pipeline and applies the mistake-driven update: the
+///    first update copies the model's arena once, later ones re-pack the
+///    touched rows in place; the mmapped base keeps serving untouched, so
+///    base and adapted generations are A/B-servable from one process
+///    (`!use base|adapted`);
+///  * `predict()` answers over the overlay's current model (the "adapted"
+///    side of the A/B) through `predict_rows()` — the per-row step the base
+///    path runs — in one call per batch under the mutex, so a batch never
+///    sees half an update;
 ///  * `export_delta()` writes the adapted-vs-base difference as an HDCS v4
 ///    delta file — every row is compared against the pinned generation's
 ///    base snapshot *file*, so rows inherited from an earlier delta reload
@@ -24,11 +26,12 @@
 ///    out.
 ///
 /// All methods serialize on one internal mutex: feedback is a low-rate
-/// control-plane stream, and `AdaptiveClassifier::adapt` requires external
-/// serialization.  The pinned `ServingStatePtr` keeps the snapshot mapping
-/// alive even after a hot swap replaces the active state; the server drops
-/// the whole `AdaptiveState` when its generation is no longer the active
-/// one (feedback against a retired model is meaningless).
+/// control-plane stream, and the overlay's `adapt` re-packs rows that a
+/// concurrent readout would be sweeping.  The pinned `ServingStatePtr`
+/// keeps the snapshot mapping alive even after a hot swap replaces the
+/// active state; the server drops the whole `AdaptiveState` when its
+/// generation is no longer the active one (feedback against a retired
+/// model is meaningless).
 
 #include <cstddef>
 #include <cstdint>
@@ -65,8 +68,8 @@ class AdaptiveState final : public Predictor {
   [[nodiscard]] io::PipelineInput input() const override;
   [[nodiscard]] std::size_t num_features() const override;
 
-  /// Every row through the overlay, heads mirroring the batch engines'
-  /// (hdc/core/confidence.hpp).
+  /// Every row through the overlay's current model, heads included, with
+  /// the base path's predict_rows().
   [[nodiscard]] Predictions predict(const SampleBatch& batch,
                                     HeadMode head) override;
 
@@ -115,10 +118,10 @@ class AdaptiveState final : public Predictor {
   [[nodiscard]] std::map<std::size_t, std::vector<std::uint64_t>>
   changed_rows() const;
 
-  /// Read-only views of the overlay model — exactly one is non-null, per
-  /// the pipeline kind — for callers that sweep its rows themselves (a
-  /// cluster rank's Classes-scheme slice).  Not synchronized with adapt():
-  /// the caller must not run both at once.
+  /// Read-only views of the overlay — exactly one is non-null, per the
+  /// pipeline kind — for callers that sweep its current() model themselves
+  /// (a cluster rank's Classes-scheme slice).  Not synchronized with
+  /// adapt(): the caller must not run both at once.
   [[nodiscard]] const AdaptiveClassifier* classifier() const noexcept {
     return classifier_.get();
   }
@@ -130,9 +133,6 @@ class AdaptiveState final : public Predictor {
   void reset();
 
  private:
-  [[nodiscard]] double predict_encoded(const Hypervector& encoded) const;
-  [[nodiscard]] Band band_encoded(const Hypervector& encoded) const;
-
   mutable std::mutex mutex_;
   ServingStatePtr base_;
   std::unique_ptr<AdaptiveClassifier> classifier_;

@@ -2,19 +2,18 @@
 #define HDC_SERVE_LOCAL_PREDICTOR_HPP
 
 /// \file local_predictor.hpp
-/// \brief The in-process Predictor: hot-swappable batch engines plus the
+/// \brief The in-process Predictor: a hot-swappable model plus the
 /// online-adaptation overlay.
 ///
-/// Each micro-batch is served in one `hdc::runtime` thread-pool round: a
-/// chunk encodes its rows one at a time into a chunk-local scratch row
-/// (BatchEncoder/BatchTextEncoder::encode_into) and reads the prediction
-/// off it — the classifier's class sweep or the regressor's keyed label
-/// readout — bit-identical to calling `Pipeline::classify`/`regress` per
-/// row for any batch size and thread count.  The model sits in a
-/// `SwapState`: each batch loads the active generation and keeps it until
-/// it is answered, and `reload()` maps and fully validates the replacement
-/// off to the side before one pointer flip, so a rejected reload leaves the
-/// incumbent serving untouched.
+/// Each micro-batch is served in one `hdc::runtime` thread-pool round: each
+/// chunk runs `predict_rows()` (predictor.hpp) over its rows with a
+/// chunk-local scratch row and the active generation's model — the same
+/// per-row step `AdaptiveState` runs over its overlay — bit-identical to
+/// calling `Pipeline::classify`/`regress` per row for any batch size and
+/// thread count.  The model sits in a `SwapState`: each batch loads the
+/// active generation and keeps it until it is answered, and `reload()` maps
+/// and fully validates the replacement off to the side before one pointer
+/// flip, so a rejected reload leaves the incumbent serving untouched.
 ///
 /// Feedback (`adapt`, `export_delta`, `adapted`) lands in an `AdaptiveState`
 /// pinned to the current generation, created on first use and replaced —
@@ -23,14 +22,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 
 #include "hdc/io/reload.hpp"
-#include "hdc/runtime/batch_encoder.hpp"
+#include "hdc/runtime/thread_pool.hpp"
 #include "hdc/serve/adaptive_state.hpp"
 #include "hdc/serve/predictor.hpp"
 #include "hdc/serve/swap_state.hpp"
@@ -82,33 +79,18 @@ class LocalPredictor final : public Predictor {
   /// and adapted() work on, created on first use.
   [[nodiscard]] AdaptiveStatePtr overlay();
 
-  /// predict()'s per-row encoding without the readout: encodes the rows of
-  /// \p batch in order into one scratch row on the calling thread with
-  /// \p state's encoder and calls \p visit(i, query) for row i — for
-  /// callers that sweep the query themselves (a cluster rank's slice).
-  /// \throws std::invalid_argument on a batch of the wrong input mode.
-  void for_each_encoded(
-      const ServingStatePtr& state, const SampleBatch& batch,
-      const std::function<void(std::size_t, HypervectorView)>& visit);
-
  private:
-  struct Engines;
-
-  /// The batch engines over \p state, rebuilt when a reload changed it.
-  [[nodiscard]] std::shared_ptr<const Engines> engines_for(
-      const ServingStatePtr& state);
-  /// Encodes row \p i of \p batch into \p row with \p engines' encoder.
-  static void encode_row(const Engines& engines, const SampleBatch& batch,
-                         std::size_t i, std::span<std::uint64_t> row);
+  /// The pool, created on the first call unless one was passed in.
+  [[nodiscard]] runtime::ThreadPool& pool();
 
   SwapState swap_;
   io::MappingOptions mapping_;
   std::size_t num_threads_;
-  /// Guards the lazy pool, the engine cache and the overlay slot (not the
-  /// overlay's own updates — AdaptiveState has its own mutex).
-  std::mutex mutex_;
+  std::once_flag pool_once_;
   runtime::ThreadPoolPtr pool_;
-  std::shared_ptr<const Engines> engines_;
+  /// Guards the overlay slot (not the overlay's own updates —
+  /// AdaptiveState has its own mutex).
+  std::mutex mutex_;
   AdaptiveStatePtr adaptive_;
 };
 

@@ -6,12 +6,16 @@
 ///
 /// A serving front end (the stdin `Server`, every `NetServer` connection)
 /// does not care where a micro-batch is predicted: in this process over the
-/// hot-swappable batch engines (`LocalPredictor`), row by row over an
-/// online-adaptation overlay (`AdaptiveState`, the `!use adapted` side), or
-/// scattered across worker ranks (`hdc::cluster::ShardedServer`).  All three
-/// implement `Predictor`, and the front ends hand it their pending batch
-/// through `MicroBatcher` — so raw text vs numeric rows, with or without a
+/// hot-swappable model (`LocalPredictor`), over an online-adaptation
+/// overlay (`AdaptiveState`, the `!use adapted` side), or scattered across
+/// worker ranks (`hdc::cluster::ShardedServer`).  All three implement
+/// `Predictor`, and the front ends hand it their pending batch through
+/// `MicroBatcher` — so raw text vs numeric rows, with or without a
 /// prediction head, local or clustered, is one code path.
+///
+/// The per-row step under the first two, and so under each cluster rank's
+/// Rows-scheme batch, is one function, `predict_rows()`: encode a row into
+/// a scratch row, then read the prediction and head off one model.
 ///
 /// Samples are views: the caller owns the rows for the duration of a call.
 
@@ -19,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -31,9 +34,8 @@
 
 namespace hdc::serve {
 
-/// One sample: a numeric feature row, or one raw-text line for text
-/// pipelines.
-using Sample = std::variant<std::span<const double>, std::string_view>;
+/// One sample: a numeric feature row, or one raw-text line.
+using Sample = io::Sample;
 
 /// One micro-batch: numeric feature rows, or raw-text lines.
 using SampleBatch = std::variant<std::span<const std::vector<double>>,
@@ -48,21 +50,10 @@ using SampleBatch = std::variant<std::span<const std::vector<double>>,
 [[nodiscard]] inline std::size_t batch_size(const SampleBatch& batch) noexcept {
   return std::visit([](const auto& rows) { return rows.size(); }, batch);
 }
-
-/// Encodes \p sample with \p pipeline (encode() or encode_text()).
-/// \throws std::invalid_argument when the sample's mode disagrees with the
-/// pipeline's input, or on a wrong arity.
-[[nodiscard]] inline Hypervector encode_sample(const io::Pipeline& pipeline,
-                                               const Sample& sample) {
-  if (is_text(sample) != (pipeline.input() == io::PipelineInput::Text)) {
-    throw std::invalid_argument(
-        std::string("the pipeline takes ") + io::to_string(pipeline.input()) +
-        " rows, not " + (is_text(sample) ? "text" : "numeric") + " rows");
-  }
-  if (const auto* text = std::get_if<std::string_view>(&sample)) {
-    return pipeline.encode_text(*text);
-  }
-  return pipeline.encode(std::get<std::span<const double>>(sample));
+/// Row \p i of \p batch.
+[[nodiscard]] inline Sample sample_at(const SampleBatch& batch,
+                                      std::size_t i) {
+  return std::visit([i](const auto& rows) { return Sample(rows[i]); }, batch);
 }
 
 /// A predicted batch.  predictions[i] answers row i (classifier labels as
@@ -75,6 +66,29 @@ struct Predictions {
   /// The model generation that answered every row of the batch.
   std::uint64_t generation = 0;
 };
+
+/// A batch of \p count rows of a \p kind model, every column sized: the
+/// predictions, plus the kind's head (confidences or bands) unless \p head
+/// is None.  predict_rows() fills it in place.
+[[nodiscard]] Predictions sized_predictions(io::PipelineKind kind,
+                                            std::size_t count, HeadMode head,
+                                            std::uint64_t generation);
+
+/// The one per-row serving step: encodes each row i in [begin, end) of
+/// \p batch into \p scratch with \p pipeline's encoder and writes
+/// out.predictions[i] — and the head, unless \p head is None — read off
+/// \p model: the class sweep (margin confidence) or the keyed label
+/// readout (p10/p50/p90 band).  Bit-identical to `Pipeline::classify`/
+/// `regress` per row.  Rows of disjoint ranges may run concurrently.
+/// \throws std::invalid_argument on a row of the wrong mode or arity.
+void predict_rows(const io::Pipeline& pipeline,
+                  const CentroidClassifier& model, const SampleBatch& batch,
+                  std::size_t begin, std::size_t end, HeadMode head,
+                  std::span<std::uint64_t> scratch, Predictions& out);
+void predict_rows(const io::Pipeline& pipeline, const HDRegressor& model,
+                  const SampleBatch& batch, std::size_t begin, std::size_t end,
+                  HeadMode head, std::span<std::uint64_t> scratch,
+                  Predictions& out);
 
 /// What one feedback row did — the `!adapt` reply fields.
 struct AdaptOutcome {

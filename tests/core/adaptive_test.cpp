@@ -1,15 +1,17 @@
 // Property suite for the copy-on-write adaptation overlays: the
 // equivalences that make online learning over borrowed (mmap-backed)
-// models safe to serve.  Overlay == materialized model bit for bit,
-// borrowed base == owning base bit for bit, sharded slice scans compose to
-// the global argmin, and two replicas fed the same feedback stream build
-// bit-identical overlays (the cluster broadcast correctness condition).
+// models safe to serve.  Overlay == base with its changed rows patched in,
+// bit for bit; borrowed base == owning base bit for bit; and two replicas
+// fed the same feedback stream build bit-identical overlays (the cluster
+// broadcast correctness condition).
 
 #include "hdc/core/adaptive.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <memory>
@@ -91,11 +93,8 @@ TEST(AdaptiveClassifierTest, UntouchedOverlayIsBitIdenticalToBase) {
     const auto query = Hypervector::random(kDim, rng);
     EXPECT_EQ(overlay.predict(query), pair.restored->predict(query));
   }
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    const auto row = overlay.class_row(c);
-    const auto base = pair.restored->class_vector(c);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), base.words().begin()));
-  }
+  // No update, no copy: the current model is the base itself.
+  EXPECT_EQ(&overlay.current(), pair.restored.get());
 }
 
 TEST(AdaptiveClassifierTest, BorrowedAndOwningBasesBuildIdenticalOverlays) {
@@ -114,64 +113,55 @@ TEST(AdaptiveClassifierTest, BorrowedAndOwningBasesBuildIdenticalOverlays) {
   EXPECT_EQ(over_trained.updates(), over_restored.updates());
 }
 
+/// The independent oracle for an adapted classifier: the base arena with
+/// the overlay's changed rows patched in.
+CentroidClassifier patched_base(const CentroidClassifier& base,
+                                const AdaptiveClassifier& overlay) {
+  const auto words = base.packed_class_words();
+  std::vector<std::uint64_t> arena(words.begin(), words.end());
+  for (const auto& [label, row] : overlay.changed_rows()) {
+    std::copy(row.begin(), row.end(),
+              arena.begin() + static_cast<std::ptrdiff_t>(
+                                  label * base.words_per_class()));
+  }
+  return CentroidClassifier::from_packed_class_words(
+      base.num_classes(), base.dimension(), std::move(arena));
+}
+
 TEST(AdaptiveClassifierTest, OverlayPredictsBitIdenticallyToMaterialize) {
   const auto pair = make_classifier_pair(31);
   AdaptiveClassifier overlay(pair.restored, kDefaultAdaptSeed);
   for (const auto& [label, sample] : feedback_stream(80, 32)) {
     (void)overlay.adapt(label, sample);
   }
-  ASSERT_GT(overlay.touched_classes(), 0U);
+  ASSERT_GE(overlay.touched_classes(), 2U);
+  const CentroidClassifier oracle = patched_base(*pair.restored, overlay);
   const CentroidClassifier flat = overlay.materialize();
   Rng rng(33);
   for (int i = 0; i < 100; ++i) {
     const auto query = Hypervector::random(kDim, rng);
-    EXPECT_EQ(overlay.predict(query), flat.predict(query));
+    EXPECT_EQ(overlay.predict(query), oracle.predict(query));
+    const hdc::Top2 got = overlay.current().predict_top2(query);
+    const hdc::Top2 want = oracle.predict_top2(query);
+    EXPECT_EQ(got.best.index, want.best.index);
+    EXPECT_EQ(got.second.index, want.second.index);
+    EXPECT_EQ(got.second.distance, want.second.distance);
+    EXPECT_EQ(flat.predict(query), oracle.predict(query));
   }
-  // The materialized arena carries overlay rows where touched and base rows
-  // everywhere else.
-  const auto changed = overlay.changed_rows();
+  // Word for word: the adapted arena is the base arena with exactly the
+  // changed rows patched in, and materialize() copies it.
+  const auto adapted = overlay.current().packed_class_words();
+  const auto expected = oracle.packed_class_words();
+  EXPECT_TRUE(std::equal(adapted.begin(), adapted.end(), expected.begin(),
+                         expected.end()));
+  const auto copied = flat.packed_class_words();
+  EXPECT_TRUE(std::equal(copied.begin(), copied.end(), expected.begin(),
+                         expected.end()));
+  // The base itself is never written.
   for (std::size_t c = 0; c < kClasses; ++c) {
-    const auto row = flat.class_vector(c);
-    if (const auto it = changed.find(c); it != changed.end()) {
-      EXPECT_TRUE(
-          std::equal(it->second.begin(), it->second.end(),
-                     row.words().begin()))
-          << "class " << c;
-    } else {
-      const auto base = pair.restored->class_vector(c);
-      EXPECT_TRUE(std::equal(base.words().begin(), base.words().end(),
-                             row.words().begin()))
-          << "class " << c;
-    }
+    EXPECT_TRUE(pair.restored->class_vector(c) == pair.trained->class_vector(c))
+        << "class " << c;
   }
-}
-
-TEST(AdaptiveClassifierTest, NearestInSliceComposesToPredict) {
-  const auto pair = make_classifier_pair(41);
-  AdaptiveClassifier overlay(pair.restored, kDefaultAdaptSeed);
-  for (const auto& [label, sample] : feedback_stream(40, 42)) {
-    (void)overlay.adapt(label, sample);
-  }
-  Rng rng(43);
-  // Every 2-way split of the class range: the lexicographic minimum over
-  // the per-slice results must equal the global argmin with its
-  // lowest-index tie-break — the Classes-scheme shard reduction.
-  for (int i = 0; i < 40; ++i) {
-    const auto query = Hypervector::random(kDim, rng);
-    const std::size_t expected = overlay.predict(query);
-    for (std::size_t cut = 1; cut < kClasses; ++cut) {
-      const auto left = overlay.nearest_in_slice(query, 0, cut);
-      const auto right = overlay.nearest_in_slice(query, cut, kClasses);
-      const auto best = std::min(left, right);
-      EXPECT_EQ(best.second, expected) << "cut " << cut;
-    }
-  }
-  EXPECT_THROW((void)overlay.nearest_in_slice(
-                   Hypervector::random(kDim, rng), 2, 2),
-               std::invalid_argument);
-  EXPECT_THROW((void)overlay.nearest_in_slice(
-                   Hypervector::random(kDim, rng), 0, kClasses + 1),
-               std::invalid_argument);
 }
 
 TEST(AdaptiveClassifierTest, ReplicasWithSameSeedAreBitIdentical) {

@@ -110,6 +110,26 @@ run_stdin(ok "kernels = scalar" "${WORK_DIR}/one_row.csv"
 run_stdin(fail "not a compiled-in kernel variant" "${WORK_DIR}/one_row.csv"
     serve "${WORK_DIR}/pipeline_reg.hdcs" --kernel bogus)
 
+# --- serve --listen takes a decimal PORT in 0..65535: an out-of-range,
+# negative or non-numeric port is a named flag error (exit 1), never a
+# wrapped port that is silently listened on.  The timeout turns a server
+# that did start listening into a failure instead of a hang.
+foreach(bad_port 70000 -1 abc)
+  execute_process(
+    COMMAND "${HDCGEN}" serve "${WORK_DIR}/pipeline_reg.hdcs"
+      --listen "127.0.0.1:${bad_port}"
+    TIMEOUT 10
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  set(want "PORT in 0\\.\\.65535, got '127\\.0\\.0\\.1:${bad_port}'")
+  if(NOT code EQUAL 1 OR NOT err MATCHES "${want}")
+    message(FATAL_ERROR
+      "serve --listen 127.0.0.1:${bad_port}: expected exit 1 naming the port "
+      "range, got '${code}'\n${out}${err}")
+  endif()
+endforeach()
+
 # --- flag spellings: `--flag value` and `--flag=value` mix freely across
 # different flags, but the same flag twice — in any spelling combination —
 # is a diagnosed error, never a silent first-wins.

@@ -47,6 +47,7 @@
 // Flags follow the `--name value` / `--name=value` shape shared by every
 // subcommand (tools/flag_parser.hpp).
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -57,6 +58,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -594,8 +596,20 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
                                     *listen + "'");
       }
       options.host = listen->substr(0, colon);
-      options.port = static_cast<std::uint16_t>(
-          std::stoul(listen->substr(colon + 1)));
+      // Strictly decimal and in range: stoul would wrap 70000 and -1 to
+      // some other port and listen there.
+      const std::string_view port =
+          std::string_view(*listen).substr(colon + 1);
+      unsigned parsed = 0;
+      const auto [end, error] =
+          std::from_chars(port.data(), port.data() + port.size(), parsed);
+      if (error != std::errc{} || end != port.data() + port.size() ||
+          parsed > 65535) {
+        throw std::invalid_argument(
+            "--listen expects HOST:PORT with PORT in 0..65535, got '" +
+            *listen + "'");
+      }
+      options.port = static_cast<std::uint16_t>(parsed);
       if (options.host.empty()) {
         options.host = "127.0.0.1";
       }
