@@ -43,7 +43,7 @@ void Comm::barrier() {
                          " failed barrier: " +
                          (r.size() > 1 ? r.substr(1) : "bad ping response")};
     }
-    if (get_u64(r, 1) != rank) {
+    if (decode_ping_reply(r) != rank) {
       throw ClusterError{"cluster rank " + std::to_string(rank) +
                          " answered barrier with wrong rank"};
     }
@@ -138,16 +138,15 @@ namespace {
 }
 
 /// Body of a forked worker: answer frames until shutdown or the parent's
-/// end closes.  Replies to the very first frame slot with a ready (or
-/// init-error) frame so the parent can fail construction synchronously.
+/// end closes.  Replies to the very first frame slot with a ready frame
+/// (its ping reply) or an init-error frame, so the parent can fail
+/// construction synchronously.
 /// _exit() throughout — a forked child must never run the parent's atexit
 /// handlers or flush its inherited stdio buffers.
 [[noreturn]] void worker_child_main(int fd, Worker::Config cfg) {
   try {
     Worker worker{std::move(cfg)};
-    std::string ready(1, static_cast<char>(kWorkerOk));
-    put_u64(ready, worker.rank());
-    if (!write_frame(fd, ready)) {
+    if (!write_frame(fd, worker.handle(encode_ping_request()))) {
       _exit(3);
     }
     std::string request;

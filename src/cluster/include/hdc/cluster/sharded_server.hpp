@@ -4,9 +4,10 @@
 /// \file sharded_server.hpp
 /// \brief The coordinator: sharded prediction bit-identical to one process.
 ///
-/// `ShardedServer` owns a `Comm` and turns batches of feature rows into
-/// predictions by scattering work across ranks and reducing the gathered
-/// responses.  Its contract — enforced by the tests/cluster equivalence
+/// `ShardedServer` owns a `Comm` and turns a `serve::SampleBatch` (numeric
+/// rows or raw text, one code path) into predictions: it encodes each
+/// rank's predict frame with worker.hpp's codec, scatters, and reduces the
+/// decoded replies.  Its contract — enforced by the tests/cluster equivalence
 /// matrix — is that for any {replicas, scheme, backend, batch size, kernel
 /// variant} the prediction stream is **bit-identical** to calling the
 /// single-process pipeline row by row:
@@ -60,22 +61,21 @@ struct ClusterOptions {
   io::MappingOptions mapping{};
 };
 
-/// One rank's counters, as reported by `!stats` and rank_stats().
-struct RankStats {
-  std::size_t rank = 0;
-  std::uint64_t generation = 0;
-  std::uint64_t rows = 0;
-  std::uint64_t batches = 0;
-};
-
 /// Coordinator over N worker ranks; thread-safe (exchanges serialize).
 class ShardedServer final : public serve::Predictor {
  public:
   /// Builds the comm (forking before any thread pool exists — construct
   /// this before `NetServer` or other pool owners) and barriers once so a
   /// worker that failed to initialize fails construction, not traffic.
-  /// \throws ClusterError / io::SnapshotError / std::invalid_argument.
+  /// \throws ClusterError / io::SnapshotError / std::invalid_argument
+  /// (replicas above max_replicas() among them).
   ShardedServer(std::string snapshot_path, ClusterOptions options);
+
+  /// Upper bound on `ClusterOptions::replicas`: the fork backend starts a
+  /// process per rank, so an absurd count is rejected before any forks.
+  [[nodiscard]] static constexpr std::size_t max_replicas() noexcept {
+    return 256;
+  }
 
   /// The wire shape, read once at construction: reloads keep it, and
   /// the rank-0 pipeline it comes from is replaced under the exchange lock.
@@ -155,19 +155,6 @@ class ShardedServer final : public serve::Predictor {
   [[nodiscard]] std::string stats() override;
 
  private:
-  /// Scatter builders for the two input modes; Rows-scheme requests carry
-  /// each rank's row slice, Classes-scheme requests broadcast the batch.
-  [[nodiscard]] std::vector<std::string> build_predict_requests(
-      std::span<const std::vector<double>> rows, bool head);
-  [[nodiscard]] std::vector<std::string> build_text_requests(
-      std::span<const std::string> rows, bool head);
-  /// Generation check + the scheme reduce over gathered predict responses.
-  [[nodiscard]] serve::Predictions gather_predictions(
-      const std::vector<std::string>& responses, std::size_t nrows);
-  [[nodiscard]] serve::Predictions gather_heads(
-      const std::vector<std::string>& responses, std::size_t nrows);
-  [[nodiscard]] std::uint64_t checked_generation(
-      const std::vector<std::string>& responses) const;
   [[nodiscard]] std::vector<std::string> checked_exchange(
       std::vector<std::string> requests, const char* what);
 

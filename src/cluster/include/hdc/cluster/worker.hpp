@@ -17,8 +17,9 @@
 /// one length-prefixed frame (`comm.hpp` owns the framing); the payload
 /// starts with a one-byte opcode (requests) or status (responses) followed
 /// by fixed-width little-endian fields.  Same-machine processes only, so no
-/// cross-endian concerns — but the layout is pinned here so the coordinator,
-/// the workers and the tests agree on one encoding:
+/// cross-endian concerns.  One codec here writes and reads it: an encoder
+/// per request over one rows writer (numeric or text), one rows decoder on
+/// the rank, and a decoder beside each fixed reply (docs/cluster.md):
 ///
 ///   predict request   [op][u8 flags][u64 nrows] then
 ///                       numeric:     [u64 nfeat][nrows*nfeat f64]
@@ -50,7 +51,7 @@
 ///   delta-rows resp.  [ok][u64 generation][u64 nrows][u64 wpr] then
 ///                       nrows ([u64 index][wpr u64 row words])
 ///   stats response    [ok][u64 rank][u64 generation][u64 rows][u64 batches]
-///   ping response     [ok][u64 rank]
+///   ping response     [ok][u64 rank] (also a forked rank's ready frame)
 ///   error response    [err][message bytes]
 ///
 /// Unknown flag bits, a mode that disagrees with the pipeline's input, and
@@ -77,7 +78,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,6 +113,23 @@ inline constexpr std::uint8_t kWorkerErr = 1;
 /// Sentinel `(distance, index)` reported for an empty Classes slice; loses
 /// every lexicographic reduce against a real candidate.
 inline constexpr std::uint64_t kNoCandidate = ~std::uint64_t{0};
+
+/// One rank's counters: the stats reply, as `!stats` and rank_stats()
+/// report it.
+struct RankStats {
+  std::size_t rank = 0;
+  std::uint64_t generation = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t batches = 0;
+};
+
+/// A predict reply: its fixed header and the per-row fields after it, in
+/// the scheme's layout (file comment).
+struct PredictReply {
+  std::uint64_t generation = 0;
+  std::uint64_t rows = 0;
+  std::string_view fields;
+};
 
 /// One rank of the cluster: a `serve::LocalPredictor` over the mapped
 /// snapshot and the request dispatcher.  Not thread-safe; each rank is
@@ -160,17 +178,20 @@ class Worker {
   }
 
  private:
+  /// The rejection messages of one request kind's rows.
+  struct RowErrors;
+
   [[nodiscard]] std::string handle_predict2(std::string_view body);
   [[nodiscard]] std::string handle_reload(std::string_view body);
   [[nodiscard]] std::string handle_adapt(std::string_view body);
   [[nodiscard]] std::string handle_delta_rows();
-  /// Decodes the \p nrows rows of \p nfeat features after a frame's
-  /// 17-byte header into the reused row slots.  \throws
-  /// std::invalid_argument(\p truncated) unless they fill the frame exactly.
-  [[nodiscard]] serve::SampleBatch numeric_rows(std::string_view body,
-                                                std::size_t nrows,
-                                                std::size_t nfeat,
-                                                const char* truncated);
+  /// The \p nrows rows of the pipeline's mode that fill \p body from \p at
+  /// on, read into the reused row slots.  \throws std::invalid_argument,
+  /// worded by \p errors, on a wrong arity, truncation or trailing bytes.
+  [[nodiscard]] serve::SampleBatch decode_rows(std::string_view body,
+                                               std::size_t at,
+                                               std::size_t nrows,
+                                               const RowErrors& errors);
   /// The Classes-scheme slice sweep over the current model's arena:
   /// \p state's, or \p overlay's once the rank has accepted feedback
   /// (else null).
@@ -189,24 +210,30 @@ class Worker {
   bool shutdown_ = false;
 };
 
-/// Payload builders shared by the coordinator and the tests; the layouts
-/// are documented in the file comment.
+/// Request encoders shared by the coordinator and the tests.
 [[nodiscard]] std::string encode_ping_request();
 [[nodiscard]] std::string encode_reload_request(const std::string& path);
 [[nodiscard]] std::string encode_stats_request();
 [[nodiscard]] std::string encode_shutdown_request();
-[[nodiscard]] std::string encode_adapt_request(double target,
-                                               const double* features,
-                                               std::size_t nfeat);
 [[nodiscard]] std::string encode_delta_rows_request();
-[[nodiscard]] std::string encode_predict2_request(const double* rows,
-                                                  std::size_t nrows,
-                                                  std::size_t nfeat,
-                                                  bool head);
-[[nodiscard]] std::string encode_predict2_text_request(
-    std::span<const std::string> rows, bool head);
-[[nodiscard]] std::string encode_adapt_text_request(double target,
-                                                    std::string_view text);
+/// A predict frame of \p batch; a numeric frame carries \p nfeat even when
+/// it has no rows (a rank's empty slice).
+[[nodiscard]] std::string encode_predict_request(
+    const serve::SampleBatch& batch, std::size_t nfeat, bool head);
+[[nodiscard]] std::string encode_adapt_request(const serve::Sample& sample,
+                                               double target);
+
+/// Reply decoders: the fields of an ok reply, read where worker.cpp writes
+/// them.  \throws std::out_of_range on a reply too short for its layout.
+[[nodiscard]] std::uint64_t decode_ping_reply(std::string_view reply);
+[[nodiscard]] std::uint64_t decode_reload_reply(std::string_view reply);
+[[nodiscard]] RankStats decode_stats_reply(std::string_view reply);
+[[nodiscard]] serve::AdaptOutcome decode_adapt_reply(std::string_view reply);
+[[nodiscard]] PredictReply decode_predict_reply(std::string_view reply);
+/// The changed rows, index → row words.  \throws ClusterError unless they
+/// fill the reply exactly.
+[[nodiscard]] std::map<std::size_t, std::vector<std::uint64_t>>
+decode_delta_rows_reply(std::string_view reply);
 
 /// Little-endian field helpers for the fixed-width payload layout.
 void put_u64(std::string& out, std::uint64_t value);

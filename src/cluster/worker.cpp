@@ -1,11 +1,14 @@
 #include "hdc/cluster/worker.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <exception>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -23,18 +26,14 @@ namespace hdc::cluster {
 namespace {
 
 [[nodiscard]] std::string error_response(const std::string& message) {
-  std::string out;
-  out.reserve(1 + message.size());
-  out.push_back(static_cast<char>(kWorkerErr));
-  out.append(message);
-  return out;
+  return static_cast<char>(kWorkerErr) + message;
 }
 
 /// Reads the flags byte that leads a Predict2/Adapt body, rejecting bits
 /// outside \p allowed and a text/numeric mode that disagrees with the
-/// pipeline; returns whether the request carries text.
-bool request_mode(std::string_view body, std::uint8_t allowed,
-                  const io::Pipeline& pipeline, const char* what) {
+/// pipeline; returns the flags.
+std::uint8_t request_flags(std::string_view body, std::uint8_t allowed,
+                           const io::Pipeline& pipeline, const char* what) {
   if (body.empty()) {
     throw std::invalid_argument{std::string{what} + ": missing flags byte"};
   }
@@ -50,34 +49,50 @@ bool request_mode(std::string_view body, std::uint8_t allowed,
         (text ? "text" : "numeric") + " rows but the pipeline takes " +
         io::to_string(pipeline.input()) + " rows"};
   }
-  return text;
+  return flags;
 }
 
-/// One `[u64 len][len bytes]` field at \p at, which advances past it.
-std::string_view text_field(std::string_view body, std::size_t& at,
-                            const char* truncated) {
-  const std::size_t len = get_u64(body, at);
-  at += 8;
-  if (len > body.size() - at) {
-    throw std::invalid_argument{truncated};
+/// The one rows writer: text rows as `[u64 len][bytes]` each; numeric rows
+/// as `[u64 nfeat]` once, then each row's f64s appended straight from it.
+template <typename Row>
+void put_rows(std::string& out, std::span<const Row> rows, std::size_t nfeat) {
+  constexpr bool text = std::is_same_v<typename Row::value_type, char>;
+  if constexpr (!text) {
+    out.reserve(out.size() + 8 + rows.size() * nfeat * 8);
+    put_u64(out, nfeat);
   }
-  const std::string_view field = body.substr(at, len);
-  at += len;
-  return field;
+  for (const Row& row : rows) {
+    if constexpr (text) {
+      put_u64(out, row.size());
+    }
+    out.append(reinterpret_cast<const char*>(row.data()),
+               row.size() * sizeof(typename Row::value_type));
+  }
+}
+
+/// `[ok]` and then \p words: every fixed reply layout, which the
+/// `decode_*_reply` functions below read back with reply_word().
+std::string ok_reply(std::initializer_list<std::uint64_t> words) {
+  std::string out(1, static_cast<char>(kWorkerOk));
+  for (const std::uint64_t word : words) {
+    put_u64(out, word);
+  }
+  return out;
+}
+
+/// Word \p i of an ok reply's fixed fields.
+std::uint64_t reply_word(std::string_view reply, std::size_t i) {
+  return get_u64(reply, 1 + i * 8);
 }
 
 }  // namespace
 
 void put_u64(std::string& out, std::uint64_t value) {
-  char buf[8];
-  std::memcpy(buf, &value, sizeof buf);
-  out.append(buf, sizeof buf);
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
 void put_f64(std::string& out, double value) {
-  char buf[8];
-  std::memcpy(buf, &value, sizeof buf);
-  out.append(buf, sizeof buf);
+  put_u64(out, std::bit_cast<std::uint64_t>(value));
 }
 
 std::uint64_t get_u64(std::string_view payload, std::size_t offset) {
@@ -93,9 +108,7 @@ double get_f64(std::string_view payload, std::size_t offset) {
   if (offset + 8 > payload.size()) {
     throw std::out_of_range{"cluster frame: truncated f64 field"};
   }
-  double value = 0;
-  std::memcpy(&value, payload.data() + offset, sizeof value);
-  return value;
+  return std::bit_cast<double>(get_u64(payload, offset));
 }
 
 std::string encode_ping_request() {
@@ -103,9 +116,7 @@ std::string encode_ping_request() {
 }
 
 std::string encode_reload_request(const std::string& path) {
-  std::string out;
-  out.reserve(1 + 8 + path.size());
-  out.push_back(static_cast<char>(WorkerOp::Reload));
+  std::string out(1, static_cast<char>(WorkerOp::Reload));
   put_u64(out, path.size());
   out.append(path);
   return out;
@@ -119,66 +130,72 @@ std::string encode_shutdown_request() {
   return std::string(1, static_cast<char>(WorkerOp::Shutdown));
 }
 
-std::string encode_adapt_request(double target, const double* features,
-                                 std::size_t nfeat) {
-  std::string out;
-  out.reserve(2 + 8 + 8 + nfeat * 8);
-  out.push_back(static_cast<char>(WorkerOp::Adapt));
-  out.push_back(0);
-  put_f64(out, target);
-  put_u64(out, nfeat);
-  if (nfeat != 0) {
-    out.append(reinterpret_cast<const char*>(features), nfeat * 8);
-  }
-  return out;
-}
-
 std::string encode_delta_rows_request() {
   return std::string(1, static_cast<char>(WorkerOp::DeltaRows));
 }
 
-std::string encode_predict2_request(const double* rows, std::size_t nrows,
-                                    std::size_t nfeat, bool head) {
-  std::string out;
-  out.reserve(2 + 8 + 8 + nrows * nfeat * 8);
-  out.push_back(static_cast<char>(WorkerOp::Predict2));
-  out.push_back(static_cast<char>(head ? kPredictFlagHead : 0));
-  put_u64(out, nrows);
-  put_u64(out, nfeat);
-  if (nrows * nfeat != 0) {
-    out.append(reinterpret_cast<const char*>(rows), nrows * nfeat * 8);
-  }
+std::string encode_predict_request(const serve::SampleBatch& batch,
+                                   std::size_t nfeat, bool head) {
+  const int text = serve::is_text(batch) ? kPredictFlagText : 0;
+  std::string out(1, static_cast<char>(WorkerOp::Predict2));
+  out.push_back(static_cast<char>(text | (head ? kPredictFlagHead : 0)));
+  put_u64(out, serve::batch_size(batch));
+  std::visit([&](const auto& rows) { put_rows(out, rows, nfeat); }, batch);
   return out;
 }
 
-std::string encode_predict2_text_request(std::span<const std::string> rows,
-                                         bool head) {
-  std::size_t bytes = 0;
-  for (const std::string& row : rows) {
-    bytes += 8 + row.size();
-  }
-  std::string out;
-  out.reserve(2 + 8 + bytes);
-  out.push_back(static_cast<char>(WorkerOp::Predict2));
-  out.push_back(static_cast<char>(kPredictFlagText |
-                                  (head ? kPredictFlagHead : 0)));
-  put_u64(out, rows.size());
-  for (const std::string& row : rows) {
-    put_u64(out, row.size());
-    out.append(row);
-  }
-  return out;
-}
-
-std::string encode_adapt_text_request(double target, std::string_view text) {
-  std::string out;
-  out.reserve(2 + 8 + 8 + text.size());
-  out.push_back(static_cast<char>(WorkerOp::Adapt));
-  out.push_back(static_cast<char>(kPredictFlagText));
+std::string encode_adapt_request(const serve::Sample& sample, double target) {
+  const int text = serve::is_text(sample) ? kPredictFlagText : 0;
+  std::string out(1, static_cast<char>(WorkerOp::Adapt));
+  out.push_back(static_cast<char>(text));
   put_f64(out, target);
-  put_u64(out, text.size());
-  out.append(text);
+  const auto put_row = [&](const auto& row) {
+    put_rows(out, std::span(&row, 1), row.size());
+  };
+  std::visit(put_row, sample);
   return out;
+}
+
+std::uint64_t decode_ping_reply(std::string_view reply) {
+  return reply_word(reply, 0);
+}
+
+std::uint64_t decode_reload_reply(std::string_view reply) {
+  return reply_word(reply, 0);
+}
+
+RankStats decode_stats_reply(std::string_view reply) {
+  return {reply_word(reply, 0), reply_word(reply, 1), reply_word(reply, 2),
+          reply_word(reply, 3)};
+}
+
+serve::AdaptOutcome decode_adapt_reply(std::string_view reply) {
+  return {std::bit_cast<double>(reply_word(reply, 1)),
+          reply_word(reply, 2) != 0, reply_word(reply, 3), reply_word(reply, 4),
+          reply_word(reply, 5)};
+}
+
+PredictReply decode_predict_reply(std::string_view reply) {
+  return {reply_word(reply, 0), reply_word(reply, 1), reply.substr(17)};
+}
+
+std::map<std::size_t, std::vector<std::uint64_t>> decode_delta_rows_reply(
+    std::string_view reply) {
+  const std::uint64_t nrows = reply_word(reply, 1);
+  const std::uint64_t wpr = reply_word(reply, 2);
+  const std::string_view body = reply.substr(25);
+  // Divide, never multiply: a forged count must not wrap the length check.
+  const std::size_t row_bytes = 8 + std::min<std::size_t>(wpr, body.size()) * 8;
+  if (body.size() % row_bytes != 0 || body.size() / row_bytes != nrows) {
+    throw ClusterError{"cluster delta export: truncated row payload"};
+  }
+  std::map<std::size_t, std::vector<std::uint64_t>> rows;
+  for (std::size_t at = 0; at < body.size(); at += row_bytes) {
+    std::vector<std::uint64_t> words(wpr);
+    std::memcpy(words.data(), body.data() + at + 8, wpr * 8);
+    rows.emplace(get_u64(body, at), std::move(words));
+  }
+  return rows;
 }
 
 Worker::Worker(Config cfg)
@@ -201,24 +218,15 @@ std::string Worker::handle(std::string_view request) {
       return error_response("empty request frame");
     }
     switch (static_cast<WorkerOp>(request[0])) {
-      case WorkerOp::Ping: {
-        std::string out(1, static_cast<char>(kWorkerOk));
-        put_u64(out, cfg_.rank);
-        return out;
-      }
+      case WorkerOp::Ping:
+        return ok_reply({cfg_.rank});
       case WorkerOp::Reload:
         return handle_reload(request.substr(1));
-      case WorkerOp::Stats: {
-        std::string out(1, static_cast<char>(kWorkerOk));
-        put_u64(out, cfg_.rank);
-        put_u64(out, generation());
-        put_u64(out, rows_served_);
-        put_u64(out, batches_);
-        return out;
-      }
+      case WorkerOp::Stats:
+        return ok_reply({cfg_.rank, generation(), rows_served_, batches_});
       case WorkerOp::Shutdown:
         shutdown_ = true;
-        return std::string(1, static_cast<char>(kWorkerOk));
+        return ok_reply({});
       case WorkerOp::Adapt:
         return handle_adapt(request.substr(1));
       case WorkerOp::DeltaRows:
@@ -232,16 +240,45 @@ std::string Worker::handle(std::string_view request) {
   }
 }
 
-serve::SampleBatch Worker::numeric_rows(std::string_view body,
-                                        std::size_t nrows, std::size_t nfeat,
-                                        const char* truncated) {
+struct Worker::RowErrors {
+  const char* arity;
+  const char* truncated_rows;
+  const char* truncated_text;
+  const char* trailing_text;
+};
+
+serve::SampleBatch Worker::decode_rows(std::string_view body, std::size_t at,
+                                       std::size_t nrows,
+                                       const RowErrors& errors) {
+  if (pipeline().input() == io::PipelineInput::Text) {
+    for (std::size_t i = 0; i < nrows; ++i) {
+      const std::size_t len = get_u64(body, at);
+      at += 8;
+      if (len > body.size() - at) {
+        throw std::invalid_argument{errors.truncated_text};
+      }
+      if (i == texts_.size()) {
+        texts_.emplace_back();
+      }
+      texts_[i].assign(body.substr(at, len));
+      at += len;
+    }
+    if (at != body.size()) {
+      throw std::invalid_argument{errors.trailing_text};
+    }
+    return std::span<const std::string>(texts_).first(nrows);
+  }
+  const std::size_t nfeat = get_u64(body, at);
+  at += 8;
+  if (nfeat != pipeline().num_features()) {
+    throw std::invalid_argument{errors.arity};
+  }
   // Divide, never multiply: a forged row count must not wrap the length
   // check before the slots are sized.
-  constexpr std::size_t at = 17;
   const std::size_t row_bytes = std::max<std::size_t>(nfeat, 1) * 8;
   const std::size_t payload = body.size() - at;
   if (payload % row_bytes != 0 || payload / row_bytes != nrows) {
-    throw std::invalid_argument{truncated};
+    throw std::invalid_argument{errors.truncated_rows};
   }
   if (rows_.size() < nrows) {
     rows_.resize(nrows);
@@ -254,40 +291,21 @@ serve::SampleBatch Worker::numeric_rows(std::string_view body,
 }
 
 std::string Worker::handle_predict2(std::string_view body) {
+  static constexpr RowErrors kErrors{
+      .arity = "predict: feature arity mismatch",
+      .truncated_rows = "predict: truncated row payload",
+      .truncated_text = "predict: truncated text row",
+      .trailing_text = "predict: trailing bytes after text rows",
+  };
   const serve::ServingStatePtr state = predictor_.state();
   const io::Pipeline& p = state->pipeline();
-  const bool text =
-      request_mode(body, kPredictFlagText | kPredictFlagHead, p, "predict");
-  const bool head =
-      (static_cast<std::uint8_t>(body[0]) & kPredictFlagHead) != 0;
+  const std::uint8_t flags =
+      request_flags(body, kPredictFlagText | kPredictFlagHead, p, "predict");
+  const bool head = (flags & kPredictFlagHead) != 0;
   const std::size_t nrows = get_u64(body, 1);
-  serve::SampleBatch batch;
-  if (text) {
-    std::size_t at = 9;
-    for (std::size_t i = 0; i < nrows; ++i) {
-      const std::string_view row =
-          text_field(body, at, "predict: truncated text row");
-      if (i == texts_.size()) {
-        texts_.emplace_back();
-      }
-      texts_[i].assign(row);
-    }
-    if (at != body.size()) {
-      throw std::invalid_argument{"predict: trailing bytes after text rows"};
-    }
-    batch = std::span<const std::string>(texts_).first(nrows);
-  } else {
-    const std::size_t nfeat = get_u64(body, 9);
-    if (nfeat != p.num_features()) {
-      throw std::invalid_argument{"predict: feature arity mismatch"};
-    }
-    batch = numeric_rows(body, nrows, nfeat, "predict: truncated row payload");
-  }
+  const serve::SampleBatch batch = decode_rows(body, 9, nrows, kErrors);
 
-  std::string out;
-  out.push_back(static_cast<char>(kWorkerOk));
-  put_u64(out, generation());
-  put_u64(out, nrows);
+  std::string out = ok_reply({generation(), nrows});
   // A rank serves its overlay from the first accepted feedback sample on:
   // every rank applied the same feedback deterministically, so this stays
   // bit-identical across the fleet.
@@ -396,49 +414,30 @@ std::string Worker::handle_reload(std::string_view body) {
   // "" re-reads the active source; the swap checks kind and arity, and a
   // delta file patches the tracked base.
   (void)predictor_.reload(std::string(body.substr(8)));
-  std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation());
-  return out;
+  return ok_reply({generation()});
 }
 
 std::string Worker::handle_adapt(std::string_view body) {
-  const io::Pipeline& p = pipeline();
-  const bool text = request_mode(body, kPredictFlagText, p, "adapt");
+  static constexpr RowErrors kErrors{
+      .arity = "adapt: feature arity mismatch",
+      .truncated_rows = "adapt: truncated feature payload",
+      .truncated_text = "adapt: truncated text payload",
+      .trailing_text = "adapt: trailing bytes after the text",
+  };
+  (void)request_flags(body, kPredictFlagText, pipeline(), "adapt");
   const double target = get_f64(body, 1);
-  serve::Sample sample;
-  if (text) {
-    std::size_t at = 9;
-    sample = text_field(body, at, "adapt: truncated text payload");
-    if (at != body.size()) {
-      throw std::invalid_argument{"adapt: trailing bytes after the text"};
-    }
-  } else {
-    const std::size_t nfeat = get_u64(body, 9);
-    if (nfeat != p.num_features()) {
-      throw std::invalid_argument{"adapt: feature arity mismatch"};
-    }
-    sample = std::span<const double>(
-        std::get<std::span<const std::vector<double>>>(numeric_rows(
-            body, 1, nfeat, "adapt: truncated feature payload"))[0]);
-  }
-  const serve::AdaptOutcome outcome = predictor_.adapt(sample, target);
-  std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation());
-  put_f64(out, outcome.predicted);
-  put_u64(out, outcome.updated ? 1 : 0);
-  put_u64(out, outcome.feedback_rows);
-  put_u64(out, outcome.updates);
-  put_u64(out, outcome.overlay_rows);
-  return out;
+  const serve::AdaptOutcome outcome = predictor_.adapt(
+      serve::sample_at(decode_rows(body, 9, 1, kErrors), 0), target);
+  return ok_reply({generation(),
+                   std::bit_cast<std::uint64_t>(outcome.predicted),
+                   outcome.updated ? 1u : 0u, outcome.feedback_rows,
+                   outcome.updates, outcome.overlay_rows});
 }
 
 std::string Worker::handle_delta_rows() {
   const auto rows = predictor_.overlay()->changed_rows();
   const std::uint64_t wpr = bits::words_for(pipeline().dimension());
-  std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation());
-  put_u64(out, rows.size());
-  put_u64(out, wpr);
+  std::string out = ok_reply({generation(), rows.size(), wpr});
   for (const auto& [index, words] : rows) {
     put_u64(out, index);
     out.append(reinterpret_cast<const char*>(words.data()),

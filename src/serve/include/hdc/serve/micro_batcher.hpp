@@ -41,6 +41,13 @@ class MicroBatcher {
  public:
   using clock = std::chrono::steady_clock;
 
+  /// Longest flush interval a front end accepts (one year): deadlines are
+  /// `oldest() + interval` in clock nanoseconds, which must not overflow.
+  [[nodiscard]] static constexpr std::chrono::microseconds
+  max_flush_interval() noexcept {
+    return std::chrono::hours(24 * 365);
+  }
+
   /// Checks that rows in \p format with \p head fit \p predictor: the input
   /// mode must match (Text readers for text pipelines) and the head the
   /// kind (Confidence for classifiers, Band for regressors).

@@ -126,7 +126,8 @@ class NetServer {
   static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
   /// Serves \p predictor, which must outlive the server.
-  /// \throws std::invalid_argument on batch_size == 0, no listener
+  /// \throws std::invalid_argument on batch_size == 0, a flush_interval
+  /// outside 0..MicroBatcher::max_flush_interval(), no listener
   /// configured, or wire formats that disagree with the predictor;
   /// std::runtime_error when a socket cannot be bound.
   NetServer(Predictor& predictor, NetServerOptions options = {});

@@ -61,13 +61,14 @@ class Server {
  public:
   /// Serves \p pipeline through an owned LocalPredictor over \p pool (or
   /// over options.num_threads workers, created on the first batch).
-  /// \throws std::invalid_argument if options.batch_size == 0.
+  /// \throws std::invalid_argument if options.batch_size == 0 or
+  /// options.flush_interval is outside 0..MicroBatcher::max_flush_interval().
   explicit Server(io::Pipeline pipeline, ServerOptions options = {},
                   runtime::ThreadPoolPtr pool = nullptr);
 
   /// Serves through \p predictor (e.g. a cluster::ShardedServer), which
   /// must outlive the Server; no thread pool is built.
-  /// \throws std::invalid_argument if options.batch_size == 0.
+  /// \throws std::invalid_argument on options as the constructor above.
   explicit Server(Predictor& predictor, ServerOptions options = {});
 
   [[nodiscard]] Predictor& predictor() const noexcept { return *predictor_; }

@@ -211,6 +211,12 @@ NetServer::NetServer(Predictor& predictor, NetServerOptions options)
     if (options_.batch_size == 0) {
       throw std::invalid_argument("NetServer: batch_size must be > 0");
     }
+    const auto max = MicroBatcher::max_flush_interval();
+    if (options_.flush_interval.count() < 0 || options_.flush_interval > max) {
+      throw std::invalid_argument(
+          "NetServer: flush_interval must be within 0.." +
+          std::to_string(max.count()) + " us");
+    }
     MicroBatcher::check(predictor_, options_.input, options_.head);
     if (options_.host.empty() && options_.unix_path.empty()) {
       throw std::invalid_argument(

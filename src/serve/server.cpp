@@ -1,6 +1,7 @@
 #include "hdc/serve/server.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "hdc/serve/micro_batcher.hpp"
@@ -9,9 +10,14 @@ namespace hdc::serve {
 
 namespace {
 
-void check_batch_size(const ServerOptions& options) {
+void check_options(const ServerOptions& options) {
   if (options.batch_size == 0) {
     throw std::invalid_argument("Server: batch_size must be > 0");
+  }
+  const auto max = MicroBatcher::max_flush_interval();
+  if (options.flush_interval.count() < 0 || options.flush_interval > max) {
+    throw std::invalid_argument("Server: flush_interval must be within 0.." +
+                                std::to_string(max.count()) + " us");
   }
 }
 
@@ -23,12 +29,12 @@ Server::Server(io::Pipeline pipeline, ServerOptions options,
           std::move(pipeline), std::move(pool), options.num_threads)),
       predictor_(owned_.get()),
       options_(options) {
-  check_batch_size(options_);
+  check_options(options_);
 }
 
 Server::Server(Predictor& predictor, ServerOptions options)
     : predictor_(&predictor), options_(options) {
-  check_batch_size(options_);
+  check_options(options_);
 }
 
 std::vector<double> Server::predict(

@@ -39,9 +39,7 @@ namespace testutil = hdc::cluster::testutil;
 void kill_and_await(pid_t pid) {
   ASSERT_EQ(kill(pid, SIGKILL), 0);
   siginfo_t info{};
-  ASSERT_EQ(waitid(P_PID, static_cast<id_t>(pid), &info,
-                   WEXITED | WNOWAIT),
-            0);
+  ASSERT_EQ(waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT), 0);
   EXPECT_EQ(info.si_code, CLD_KILLED);
 }
 
@@ -101,8 +99,7 @@ class TriggerBuf : public std::streambuf {
 TEST(FaultInjectionTest, KilledWorkerIsNamedWithPidAndSignal) {
   const std::string path =
       testutil::write_beijing_snapshot("fault_name.hdcs", 2023);
-  for (const ShardScheme scheme :
-       {ShardScheme::Rows, ShardScheme::Classes}) {
+  for (const ShardScheme scheme : {ShardScheme::Rows, ShardScheme::Classes}) {
     ShardedServer server(path, fork_options(3, scheme));
     const std::vector<pid_t> pids = server.worker_pids();
     ASSERT_EQ(pids.size(), 2u);  // ranks 1 and 2
@@ -137,8 +134,7 @@ TEST(FaultInjectionTest, SurvivorsAreReapedAfterAFault) {
     pids = server.worker_pids();
     ASSERT_EQ(pids.size(), 3u);
     kill_and_await(pids[0]);
-    EXPECT_THROW((void)server.predict(testutil::beijing_rows(4)),
-                 ClusterError);
+    EXPECT_THROW((void)server.predict(testutil::beijing_rows(4)), ClusterError);
   }
   // After destruction every worker — the killed one and the survivors — is
   // reaped: the pids no longer exist.
@@ -170,8 +166,7 @@ TEST(FaultInjectionTest, StreamDrainsAdmittedRowsAndReportsTheLine) {
   std::istream in(&buf);
   std::ostringstream out;
   hdc::serve::RowReader reader(in, 3);
-  hdc::serve::PredictionWriter writer(out,
-                                      hdc::serve::OutputFormat::Plain);
+  hdc::serve::PredictionWriter writer(out, hdc::serve::OutputFormat::Plain);
   hdc::serve::ServerOptions options;
   options.batch_size = 4;
   const hdc::serve::Server server(cluster, options);
@@ -199,8 +194,7 @@ TEST(FaultInjectionTest, StreamDrainsAdmittedRowsAndReportsTheLine) {
   ASSERT_EQ(seen.size(), 4u) << out.str();
   for (std::size_t i = 0; i < seen.size(); ++i) {
     std::ostringstream expect;
-    hdc::serve::PredictionWriter one(expect,
-                                     hdc::serve::OutputFormat::Plain);
+    hdc::serve::PredictionWriter one(expect, hdc::serve::OutputFormat::Plain);
     one.write(i, golden[i], 0.0);
     std::string expected = expect.str();
     ASSERT_FALSE(expected.empty());

@@ -1,24 +1,34 @@
 // Unit layer of the cluster suite: the varstart/varend ownership math that
-// both sharding schemes reduce to, the scheme/backend parsers, the framed
-// request protocol codecs, and the Worker dispatcher's contract (error
-// responses instead of exceptions, counters, reload generation bumps, the
+// both sharding schemes reduce to, the scheme/backend parsers, the wire
+// codec (every request frame and the fixed part of every reply, byte for
+// byte, and the reply decoders), the replica bound, and the Worker
+// dispatcher's contract (error responses instead of exceptions, even for
+// truncated or byte-flipped frames; counters, reload generation bumps, the
 // empty-slice sentinel under class sharding).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cluster_test_util.hpp"
 #include "hdc/cluster/cluster.hpp"
+#include "hdc/core/bitops.hpp"
+#include "hdc/serve/adaptive_state.hpp"
 
 namespace {
 
 using hdc::cluster::ClusterError;
 using hdc::cluster::CommBackend;
 using hdc::cluster::ShardScheme;
+using hdc::cluster::ShardedServer;
 using hdc::cluster::Worker;
 using hdc::cluster::WorkerOp;
 using hdc::cluster::kNoCandidate;
@@ -27,6 +37,9 @@ using hdc::cluster::kWorkerOk;
 using hdc::cluster::shard_begin;
 using hdc::cluster::shard_end;
 namespace testutil = hdc::cluster::testutil;
+using NumericRow = std::span<const double>;
+using NumericRows = std::span<const std::vector<double>>;
+using TextRows = std::span<const std::string>;
 
 TEST(ShardMathTest, SlicesCoverDisjointlyAndStayBalanced) {
   for (const std::size_t count : {0u, 1u, 4u, 5u, 12u, 97u, 256u}) {
@@ -71,8 +84,7 @@ TEST(ShardMathTest, FirstRanksAbsorbTheRemainder) {
 
 TEST(ShardParseTest, RoundTripsAndRejects) {
   EXPECT_EQ(hdc::cluster::parse_shard_scheme("rows"), ShardScheme::Rows);
-  EXPECT_EQ(hdc::cluster::parse_shard_scheme("classes"),
-            ShardScheme::Classes);
+  EXPECT_EQ(hdc::cluster::parse_shard_scheme("classes"), ShardScheme::Classes);
   EXPECT_STREQ(hdc::cluster::to_string(ShardScheme::Rows), "rows");
   EXPECT_STREQ(hdc::cluster::to_string(ShardScheme::Classes), "classes");
   EXPECT_THROW((void)hdc::cluster::parse_shard_scheme("columns"),
@@ -99,33 +111,242 @@ TEST(ProtocolTest, FieldCodecsRoundTrip) {
   EXPECT_THROW((void)hdc::cluster::get_f64(buf, 24), std::out_of_range);
 }
 
-TEST(ProtocolTest, PredictRequestLayout) {
-  const double rows[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const std::string req =
-      hdc::cluster::encode_predict2_request(rows, 2, 3, /*head=*/false);
-  ASSERT_EQ(req.size(), 1 + 1 + 8 + 8 + 6 * 8);
-  EXPECT_EQ(static_cast<WorkerOp>(req[0]), WorkerOp::Predict2);
-  EXPECT_EQ(req[1], 0);  // numeric, no head
-  EXPECT_EQ(hdc::cluster::get_u64(req, 2), 2u);
-  EXPECT_EQ(hdc::cluster::get_u64(req, 10), 3u);
-  EXPECT_EQ(hdc::cluster::get_f64(req, 18), 1.0);
-  EXPECT_EQ(hdc::cluster::get_f64(req, 18 + 5 * 8), 6.0);
-  // Zero rows is a legal request (a rank can own an empty slice).
-  EXPECT_EQ(
-      hdc::cluster::encode_predict2_request(nullptr, 0, 3, false).size(),
-      std::size_t{18});
+/// One field of a hand-built expected frame.
+using Field = std::variant<std::uint64_t, double, std::string>;
+using u64 = std::uint64_t;
 
-  // Text rows: flags carry the mode (and the head), each row is
-  // length-prefixed.
+/// Expected frame bytes built by hand: the \p lead bytes, then each field
+/// as a little-endian u64, f64 or raw bytes.
+std::string frame_bytes(std::initializer_list<int> lead,
+                        std::initializer_list<Field> fields = {}) {
+  std::string out;
+  for (const int byte : lead) {
+    out.push_back(static_cast<char>(byte));
+  }
+  for (const Field& field : fields) {
+    if (const auto* word = std::get_if<u64>(&field)) {
+      hdc::cluster::put_u64(out, *word);
+    } else if (const auto* value = std::get_if<double>(&field)) {
+      hdc::cluster::put_f64(out, *value);
+    } else {
+      out.append(std::get<std::string>(field));
+    }
+  }
+  return out;
+}
+
+struct FrameCase {
+  const char* name;
+  std::string actual;
+  std::string expected;
+};
+
+TEST(ProtocolTest, PredictRequestLayout) {
+  const std::vector<std::vector<double>> rows{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   const std::vector<std::string> text{"ab", "c"};
-  const std::string text_req =
-      hdc::cluster::encode_predict2_text_request(text, /*head=*/true);
-  ASSERT_EQ(text_req.size(), 1 + 1 + 8 + (8 + 2) + (8 + 1));
-  EXPECT_EQ(text_req[1], hdc::cluster::kPredictFlagText |
-                             hdc::cluster::kPredictFlagHead);
-  EXPECT_EQ(hdc::cluster::get_u64(text_req, 2), 2u);
-  EXPECT_EQ(hdc::cluster::get_u64(text_req, 10), 2u);
-  EXPECT_EQ(text_req.substr(18, 2), "ab");
+  const std::vector<double> features{0.5, -2.0, 7.25};
+  const NumericRows no_rows;
+  const TextRows no_text;
+  // Every request frame the coordinator sends, byte for byte.  Zero rows
+  // is a legal predict frame (a rank can own an empty slice) and still
+  // carries the pipeline's arity.
+  const FrameCase cases[] = {
+      {"predict numeric", hdc::cluster::encode_predict_request(rows, 3, false),
+       frame_bytes({8, 0}, {u64{2}, u64{3}, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0})},
+      {"predict numeric head",
+       hdc::cluster::encode_predict_request(rows, 3, true),
+       frame_bytes({8, 2}, {u64{2}, u64{3}, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0})},
+      {"predict numeric 0 rows",
+       hdc::cluster::encode_predict_request(no_rows, 3, false),
+       frame_bytes({8, 0}, {u64{0}, u64{3}})},
+      {"predict numeric 0 rows head",
+       hdc::cluster::encode_predict_request(no_rows, 3, true),
+       frame_bytes({8, 2}, {u64{0}, u64{3}})},
+      {"predict text", hdc::cluster::encode_predict_request(text, 0, false),
+       frame_bytes({8, 1}, {u64{2}, u64{2}, "ab", u64{1}, "c"})},
+      {"predict text head", hdc::cluster::encode_predict_request(text, 0, true),
+       frame_bytes({8, 3}, {u64{2}, u64{2}, "ab", u64{1}, "c"})},
+      {"predict text 0 rows",
+       hdc::cluster::encode_predict_request(no_text, 0, false),
+       frame_bytes({8, 1}, {u64{0}})},
+      {"adapt numeric",
+       hdc::cluster::encode_adapt_request(NumericRow(features), 2.5),
+       frame_bytes({6, 0}, {2.5, u64{3}, 0.5, -2.0, 7.25})},
+      {"adapt text",
+       hdc::cluster::encode_adapt_request(std::string_view{"lo vo"}, -1.0),
+       frame_bytes({6, 1}, {-1.0, u64{5}, "lo vo"})},
+      {"reload", hdc::cluster::encode_reload_request("a.hdcs"),
+       frame_bytes({3}, {u64{6}, "a.hdcs"})},
+      {"reload active source", hdc::cluster::encode_reload_request(""),
+       frame_bytes({3}, {u64{0}})},
+      {"stats", hdc::cluster::encode_stats_request(), frame_bytes({4})},
+      {"ping", hdc::cluster::encode_ping_request(), frame_bytes({1})},
+      {"shutdown", hdc::cluster::encode_shutdown_request(), frame_bytes({5})},
+      {"delta rows", hdc::cluster::encode_delta_rows_request(),
+       frame_bytes({7})},
+  };
+  for (const FrameCase& frame : cases) {
+    EXPECT_EQ(frame.actual, frame.expected) << frame.name;
+  }
+}
+
+TEST(ProtocolTest, ReplyFixedFieldsLayout) {
+  const std::string regressor_path =
+      testutil::write_beijing_snapshot("reply_layout_reg.hdcs", 2023);
+  const std::string classifier_path =
+      testutil::write_classifier_snapshot("reply_layout_cls.hdcs", 2023);
+  const std::string text_path =
+      testutil::write_text_snapshot("reply_layout_text.hdcs", 2023);
+  Worker::Config cfg;
+  cfg.snapshot_path = regressor_path;
+  cfg.rank = 1;
+  cfg.replicas = 3;
+  Worker regressor{cfg};
+  cfg.snapshot_path = classifier_path;
+  Worker classifier{cfg};
+  cfg.snapshot_path = text_path;
+  Worker text{cfg};
+
+  // The adapt reply carries the single-process overlay's outcome, and the
+  // delta-rows reply its changed-row count.
+  const auto sample = testutil::classifier_rows(1)[0];
+  hdc::serve::AdaptiveState oracle(
+      std::make_shared<const hdc::serve::ServingState>(
+          hdc::io::load_pipeline(classifier_path), 0, classifier_path));
+  const double target = static_cast<double>(
+      (classifier.pipeline().classify(sample) + 1) % 3);
+  const hdc::serve::AdaptOutcome outcome = oracle.adapt(sample, target);
+  const u64 wpr = hdc::bits::words_for(classifier.pipeline().dimension());
+
+  const auto rows = testutil::beijing_rows(3);
+  const auto samples = testutil::text_rows(2);
+  const std::string predict =
+      regressor.handle(hdc::cluster::encode_predict_request(rows, 3, false));
+  const std::string predict_head =
+      regressor.handle(hdc::cluster::encode_predict_request(rows, 3, true));
+  const std::string predict_text =
+      text.handle(hdc::cluster::encode_predict_request(samples, 0, true));
+  const std::string unchanged =
+      classifier.handle(hdc::cluster::encode_delta_rows_request());
+  const std::string adapted = classifier.handle(
+      hdc::cluster::encode_adapt_request(NumericRow(sample), target));
+  const std::string changed =
+      classifier.handle(hdc::cluster::encode_delta_rows_request());
+
+  // Each reply's fixed fields, byte for byte; `rows` is how many bytes of
+  // per-row payload follow them.
+  struct ReplyCase {
+    const char* name;
+    std::string actual;
+    std::string fixed;
+    std::size_t rows;
+  };
+  const u64 changed_rows = oracle.changed_rows().size();
+  const std::string adapt_fixed = frame_bytes(
+      {0}, {u64{1}, outcome.predicted, u64{outcome.updated ? 1u : 0u},
+            outcome.feedback_rows, outcome.updates, outcome.overlay_rows});
+  const ReplyCase cases[] = {
+      {"ping", regressor.handle(hdc::cluster::encode_ping_request()),
+       frame_bytes({0}, {u64{1}}), 0},
+      {"predict", predict, frame_bytes({0}, {u64{1}, u64{3}}), 3 * 8},
+      {"predict regressor head", predict_head,
+       frame_bytes({0}, {u64{1}, u64{3}}), 3 * 4 * 8},
+      {"predict classifier head", predict_text,
+       frame_bytes({0}, {u64{1}, u64{2}}), 2 * 2 * 8},
+      {"stats", regressor.handle(hdc::cluster::encode_stats_request()),
+       frame_bytes({0}, {u64{1}, u64{1}, u64{6}, u64{2}}), 0},
+      {"delta rows unchanged", unchanged,
+       frame_bytes({0}, {u64{1}, u64{0}, wpr}), 0},
+      {"adapt", adapted, adapt_fixed, 0},
+      {"delta rows changed", changed,
+       frame_bytes({0}, {u64{1}, changed_rows, wpr}),
+       changed_rows * (8 + wpr * 8)},
+      {"reload", text.handle(hdc::cluster::encode_reload_request("")),
+       frame_bytes({0}, {u64{2}}), 0},
+      {"shutdown", text.handle(hdc::cluster::encode_shutdown_request()),
+       frame_bytes({0}), 0},
+      {"error", text.handle(std::string(1, '\x7f')),
+       frame_bytes({1}, {"unknown opcode"}), 0},
+  };
+  for (const ReplyCase& reply : cases) {
+    EXPECT_EQ(reply.actual.substr(0, reply.fixed.size()), reply.fixed)
+        << reply.name;
+    EXPECT_EQ(reply.actual.size(), reply.fixed.size() + reply.rows)
+        << reply.name;
+  }
+  EXPECT_TRUE(outcome.updated);
+  EXPECT_NE(changed_rows, 0u);
+}
+
+TEST(ProtocolTest, ReplyDecodersReadTheFixedFields) {
+  EXPECT_EQ(hdc::cluster::decode_ping_reply(frame_bytes({0}, {u64{5}})), 5u);
+  EXPECT_EQ(hdc::cluster::decode_reload_reply(frame_bytes({0}, {u64{7}})), 7u);
+
+  const hdc::cluster::RankStats stats = hdc::cluster::decode_stats_reply(
+      frame_bytes({0}, {u64{2}, u64{3}, u64{40}, u64{5}}));
+  EXPECT_EQ(stats.rank, 2u);
+  EXPECT_EQ(stats.generation, 3u);
+  EXPECT_EQ(stats.rows, 40u);
+  EXPECT_EQ(stats.batches, 5u);
+
+  const hdc::serve::AdaptOutcome outcome = hdc::cluster::decode_adapt_reply(
+      frame_bytes({0}, {u64{3}, 1.5, u64{1}, u64{4}, u64{2}, u64{6}}));
+  EXPECT_EQ(outcome.predicted, 1.5);
+  EXPECT_TRUE(outcome.updated);
+  EXPECT_EQ(outcome.feedback_rows, 4u);
+  EXPECT_EQ(outcome.updates, 2u);
+  EXPECT_EQ(outcome.overlay_rows, 6u);
+
+  const std::string predict = frame_bytes({0}, {u64{2}, u64{1}, 9.5});
+  const hdc::cluster::PredictReply reply =
+      hdc::cluster::decode_predict_reply(predict);
+  EXPECT_EQ(reply.generation, 2u);
+  EXPECT_EQ(reply.rows, 1u);
+  EXPECT_EQ(reply.fields, frame_bytes({}, {9.5}));
+
+  // Delta rows: [gen][nrows][wpr] then ([index][wpr words]) per row.
+  const std::string delta = frame_bytes(
+      {0}, {u64{1}, u64{2}, u64{1}, u64{7}, u64{0xaa}, u64{3}, u64{0xbb}});
+  const auto rows = hdc::cluster::decode_delta_rows_reply(delta);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows.at(3), std::vector<std::uint64_t>{0xbb});
+  EXPECT_EQ(rows.at(7), std::vector<std::uint64_t>{0xaa});
+  const std::string short_delta = delta.substr(0, delta.size() - 1);
+  EXPECT_THROW((void)hdc::cluster::decode_delta_rows_reply(short_delta),
+               ClusterError);
+  EXPECT_THROW((void)hdc::cluster::decode_delta_rows_reply(delta + "x"),
+               ClusterError);
+  // A words-per-row count whose row length wraps 64 bits is caught too.
+  const std::string wrapping = frame_bytes(
+      {0}, {u64{1}, u64{1}, (u64{1} << 61) - 1, u64{7}, u64{0xaa}});
+  EXPECT_THROW((void)hdc::cluster::decode_delta_rows_reply(wrapping),
+               ClusterError);
+
+  // A reply too short for its layout is a named error, not a read past it.
+  const std::string short_stats = frame_bytes({0}, {u64{2}, u64{3}});
+  EXPECT_THROW((void)hdc::cluster::decode_stats_reply(short_stats),
+               std::out_of_range);
+  EXPECT_THROW((void)hdc::cluster::decode_predict_reply(frame_bytes({0})),
+               std::out_of_range);
+}
+
+TEST(ShardedServerTest, ReplicasAboveTheBoundAreRejectedBeforeAnyRankStarts) {
+  const std::string path =
+      testutil::write_beijing_snapshot("replica_bound.hdcs", 2023);
+  hdc::cluster::ClusterOptions options;
+  options.backend = CommBackend::Loopback;
+  options.replicas = ShardedServer::max_replicas() + 1;
+  try {
+    const ShardedServer server(path, options);
+    FAIL() << "accepted " << options.replicas << " replicas";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("exceeds the supported maximum of 256"),
+              std::string::npos)
+        << message;
+  }
+  options.replicas = 2;
+  EXPECT_EQ(ShardedServer(path, options).replicas(), 2u);
 }
 
 TEST(WorkerTest, ConfigValidation) {
@@ -166,29 +387,23 @@ TEST(WorkerTest, DispatcherAnswersEveryOpcodeWithoutThrowing) {
   const std::string unknown = worker.handle(std::string(1, '\x7f'));
   EXPECT_EQ(static_cast<std::uint8_t>(unknown[0]), kWorkerErr);
   const std::string arity = worker.handle(
-      hdc::cluster::encode_predict2_request(nullptr, 0, 99, false));
+      hdc::cluster::encode_predict_request(NumericRows{}, 99, false));
   EXPECT_EQ(static_cast<std::uint8_t>(arity[0]), kWorkerErr);
   EXPECT_NE(std::string(arity.substr(1)).find("arity"), std::string::npos);
   std::string truncated =
-      hdc::cluster::encode_predict2_request(nullptr, 0, 3, false);
+      hdc::cluster::encode_predict_request(NumericRows{}, 3, false);
   hdc::cluster::put_u64(truncated, 5);  // Trailing garbage: size mismatch.
-  EXPECT_EQ(static_cast<std::uint8_t>(worker.handle(truncated)[0]),
-            kWorkerErr);
+  EXPECT_EQ(static_cast<std::uint8_t>(worker.handle(truncated)[0]), kWorkerErr);
 
   // A good predict bumps the counters the stats response reports.
   const auto rows = testutil::beijing_rows(4);
-  std::vector<double> flat;
-  for (const auto& row : rows) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  const std::string ok = worker.handle(hdc::cluster::encode_predict2_request(
-      flat.data(), rows.size(), 3, false));
+  const std::string ok =
+      worker.handle(hdc::cluster::encode_predict_request(rows, 3, false));
   ASSERT_EQ(static_cast<std::uint8_t>(ok[0]), kWorkerOk);
   EXPECT_EQ(hdc::cluster::get_u64(ok, 1), 1u);  // generation
   EXPECT_EQ(hdc::cluster::get_u64(ok, 9), rows.size());
 
-  const std::string stats =
-      worker.handle(hdc::cluster::encode_stats_request());
+  const std::string stats = worker.handle(hdc::cluster::encode_stats_request());
   ASSERT_EQ(static_cast<std::uint8_t>(stats[0]), kWorkerOk);
   EXPECT_EQ(hdc::cluster::get_u64(stats, 1), 1u);   // rank
   EXPECT_EQ(hdc::cluster::get_u64(stats, 9), 1u);   // generation
@@ -224,16 +439,12 @@ TEST(WorkerTest, MalformedPredictAndAdaptFramesAreErrorResponses) {
   };
 
   const auto rows = testutil::beijing_rows(2);
-  std::vector<double> flat;
-  for (const auto& row : rows) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
   std::string unknown_flags =
-      hdc::cluster::encode_predict2_request(flat.data(), 2, 3, false);
+      hdc::cluster::encode_predict_request(rows, 3, false);
   unknown_flags[1] = static_cast<char>(0x80);
   expect_rejected(numeric, unknown_flags, "unknown request flags");
   std::string adapt_flags =
-      hdc::cluster::encode_adapt_request(1.0, flat.data(), 3);
+      hdc::cluster::encode_adapt_request(NumericRow(rows[0]), 1.0);
   adapt_flags[1] = static_cast<char>(hdc::cluster::kPredictFlagHead);
   expect_rejected(numeric, adapt_flags, "unknown request flags");
 
@@ -247,24 +458,22 @@ TEST(WorkerTest, MalformedPredictAndAdaptFramesAreErrorResponses) {
 
   const std::vector<std::string> samples{"lo vo miri", "zu ka pelo tir"};
   const std::string good =
-      hdc::cluster::encode_predict2_text_request(samples, false);
-  expect_rejected(text, good.substr(0, good.size() - 2),
-                  "truncated text row");
+      hdc::cluster::encode_predict_request(samples, 0, false);
+  expect_rejected(text, good.substr(0, good.size() - 2), "truncated text row");
   expect_rejected(text, good + "x", "trailing bytes after text rows");
 
   // Text/numeric mode mismatch, both directions, for both ops.
   expect_rejected(numeric, good, "request carries text rows");
-  expect_rejected(
-      text, hdc::cluster::encode_predict2_request(flat.data(), 2, 3, false),
-      "request carries numeric rows");
-  expect_rejected(numeric,
-                  hdc::cluster::encode_adapt_text_request(0.0, "lo vo miri"),
-                  "request carries text rows");
-  expect_rejected(text, hdc::cluster::encode_adapt_request(0.0, flat.data(), 3),
-                  "request carries numeric rows");
-
+  const std::string numeric_predict =
+      hdc::cluster::encode_predict_request(rows, 3, false);
+  expect_rejected(text, numeric_predict, "request carries numeric rows");
   const std::string adapt =
-      hdc::cluster::encode_adapt_text_request(0.0, "lo vo miri");
+      hdc::cluster::encode_adapt_request(std::string_view{"lo vo miri"}, 0.0);
+  expect_rejected(numeric, adapt, "request carries text rows");
+  const std::string numeric_adapt =
+      hdc::cluster::encode_adapt_request(NumericRow(rows[0]), 0.0);
+  expect_rejected(text, numeric_adapt, "request carries numeric rows");
+
   expect_rejected(text, adapt.substr(0, adapt.size() - 1),
                   "truncated text payload");
 
@@ -274,6 +483,50 @@ TEST(WorkerTest, MalformedPredictAndAdaptFramesAreErrorResponses) {
   const std::string stats = text.handle(hdc::cluster::encode_stats_request());
   EXPECT_EQ(hdc::cluster::get_u64(stats, 17), samples.size());  // rows
   EXPECT_EQ(hdc::cluster::get_u64(stats, 25), 1u);              // batches
+}
+
+TEST(WorkerTest, TruncatedAndFlippedPredictFramesNeverThrow) {
+  Worker::Config cfg;
+  cfg.snapshot_path =
+      testutil::write_beijing_snapshot("worker_sweep_num.hdcs", 2023);
+  Worker numeric{cfg};
+  cfg.snapshot_path =
+      testutil::write_text_snapshot("worker_sweep_text.hdcs", 2023);
+  Worker text{cfg};
+  const std::string numeric_frame =
+      hdc::cluster::encode_predict_request(testutil::beijing_rows(3), 3, false);
+  const std::string text_frame =
+      hdc::cluster::encode_predict_request(testutil::text_rows(3), 0, false);
+
+  // Whatever the bytes, the rank answers with an ok or an error frame, and
+  // the next valid frame is answered exactly as before.
+  const auto sweep = [](Worker& worker, const std::string& frame) {
+    const std::string reference = worker.handle(frame);
+    ASSERT_EQ(static_cast<std::uint8_t>(reference[0]), kWorkerOk);
+    const auto answered = [&](const std::string& mutated) {
+      std::string reply;
+      ASSERT_NO_THROW(reply = worker.handle(mutated));
+      ASSERT_FALSE(reply.empty());
+      const auto status = static_cast<std::uint8_t>(reply[0]);
+      EXPECT_TRUE(status == kWorkerOk || status == kWorkerErr);
+      EXPECT_EQ(worker.handle(frame), reference);
+    };
+    for (std::size_t size = 0; size < frame.size(); ++size) {
+      SCOPED_TRACE("prefix of " + std::to_string(size) + " bytes");
+      answered(frame.substr(0, size));
+    }
+    for (std::size_t at = 1; at < frame.size(); ++at) {
+      for (const int mask : {1, 2, 4, 8, 16, 32, 64, 128, 255}) {
+        SCOPED_TRACE("byte " + std::to_string(at) + " ^ " +
+                     std::to_string(mask));
+        std::string mutated = frame;
+        mutated[at] = static_cast<char>(mutated[at] ^ mask);
+        answered(mutated);
+      }
+    }
+  };
+  sweep(numeric, numeric_frame);
+  sweep(text, text_frame);
 }
 
 TEST(WorkerTest, ReloadBumpsGenerationAndRejectsBadSnapshots) {
@@ -303,15 +556,9 @@ TEST(WorkerTest, ReloadBumpsGenerationAndRejectsBadSnapshots) {
       hdc::cluster::encode_reload_request(b + ".missing"));
   EXPECT_EQ(static_cast<std::uint8_t>(rejected[0]), kWorkerErr);
   EXPECT_EQ(worker.generation(), 3u);
-  const auto rows = testutil::beijing_rows(2);
-  std::vector<double> flat;
-  for (const auto& row : rows) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
   EXPECT_EQ(static_cast<std::uint8_t>(
-                worker.handle(hdc::cluster::encode_predict2_request(
-                    flat.data(), rows.size(), 3, false))[0]),
-            kWorkerOk);
+                worker.handle(hdc::cluster::encode_predict_request(
+                    testutil::beijing_rows(2), 3, false))[0]), kWorkerOk);
 }
 
 TEST(WorkerTest, OverlayCountsAcceptedFeedbackUntilTheNextReload) {
@@ -323,7 +570,7 @@ TEST(WorkerTest, OverlayCountsAcceptedFeedbackUntilTheNextReload) {
   const auto rows = testutil::classifier_rows(1);
   const auto adapt = [&](double target) {
     return worker.handle(
-        hdc::cluster::encode_adapt_request(target, rows[0].data(), 4));
+        hdc::cluster::encode_adapt_request(NumericRow(rows[0]), target));
   };
   // A rejected target leaves no trace: the next accepted sample is the
   // overlay's first.
@@ -358,19 +605,13 @@ TEST(WorkerTest, EmptyClassSliceReportsTheSentinel) {
   Worker worker{cfg};
 
   const auto rows = testutil::classifier_rows(3);
-  std::vector<double> flat;
-  for (const auto& row : rows) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  const std::string response = worker.handle(
-      hdc::cluster::encode_predict2_request(flat.data(), rows.size(), 4,
-                                            false));
+  const std::string response =
+      worker.handle(hdc::cluster::encode_predict_request(rows, 4, false));
   ASSERT_EQ(static_cast<std::uint8_t>(response[0]), kWorkerOk);
   ASSERT_EQ(response.size(), 17 + rows.size() * 16);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(hdc::cluster::get_u64(response, 17 + i * 16), kNoCandidate);
-    EXPECT_EQ(hdc::cluster::get_u64(response, 17 + i * 16 + 8),
-              kNoCandidate);
+    EXPECT_EQ(hdc::cluster::get_u64(response, 17 + i * 16 + 8), kNoCandidate);
   }
 }
 

@@ -40,8 +40,7 @@ ClusterOptions fork_pair(ShardScheme scheme) {
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 /// A single-process AdaptiveState over the same snapshot: the default seed
@@ -75,8 +74,7 @@ TEST(ShardedAdaptTest, BroadcastFeedbackMatchesSingleProcessOverlay) {
   const auto rows = testutil::classifier_rows(12);
   const auto stream = feedback_stream(path, rows, 6);
 
-  for (const ShardScheme scheme :
-       {ShardScheme::Rows, ShardScheme::Classes}) {
+  for (const ShardScheme scheme : {ShardScheme::Rows, ShardScheme::Classes}) {
     SCOPED_TRACE(scheme == ShardScheme::Rows ? "rows" : "classes");
     ShardedServer server(path, fork_pair(scheme));
     AdaptiveState local = make_local_overlay(path);
@@ -126,8 +124,7 @@ TEST(ShardedAdaptTest, TextFeedbackMatchesSingleProcessOverlay) {
     }
   }
 
-  for (const ShardScheme scheme :
-       {ShardScheme::Rows, ShardScheme::Classes}) {
+  for (const ShardScheme scheme : {ShardScheme::Rows, ShardScheme::Classes}) {
     SCOPED_TRACE(scheme == ShardScheme::Rows ? "rows" : "classes");
     ShardedServer server(path, fork_pair(scheme));
     AdaptiveState local = make_local_overlay(path);

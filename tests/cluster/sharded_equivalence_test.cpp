@@ -30,8 +30,7 @@ namespace testutil = hdc::cluster::testutil;
 
 constexpr std::size_t kReplicaAxis[] = {1, 2, 3, 7};
 constexpr std::size_t kBatchAxis[] = {1, 7, 64};
-constexpr ShardScheme kSchemeAxis[] = {ShardScheme::Rows,
-                                       ShardScheme::Classes};
+constexpr ShardScheme kSchemeAxis[] = {ShardScheme::Rows, ShardScheme::Classes};
 constexpr CommBackend kBackendAxis[] = {CommBackend::Loopback,
                                         CommBackend::Fork};
 
@@ -84,8 +83,7 @@ void run_matrix() {
             std::vector<double> got;
             got.reserve(shape.rows.size());
             for (std::size_t i = 0; i < shape.rows.size(); i += batch) {
-              const std::size_t n =
-                  std::min(batch, shape.rows.size() - i);
+              const std::size_t n = std::min(batch, shape.rows.size() - i);
               const hdc::serve::Predictions result = server.predict(
                   std::span<const std::vector<double>>(shape.rows)
                       .subspan(i, n));
@@ -212,8 +210,7 @@ TEST(ShardedEquivalenceTest, ReloadSwapsEveryRankBitIdentically) {
       EXPECT_EQ(server.predict(rows).predictions, golden_b);
 
       // A rejected reload must leave every rank on the incumbent.
-      EXPECT_THROW((void)server.reload(b + ".missing"),
-                   hdc::io::SnapshotError);
+      EXPECT_THROW((void)server.reload(b + ".missing"), hdc::io::SnapshotError);
       EXPECT_EQ(server.generation(), 2u);
       EXPECT_EQ(server.predict(rows).predictions, golden_b);
     }
@@ -394,8 +391,7 @@ TEST(ShardedEquivalenceTest, InputModeIsValidatedCoordinatorSide) {
                std::invalid_argument);
   EXPECT_THROW((void)num_server.predict(text, HeadMode::Band),
                std::invalid_argument);
-  EXPECT_THROW((void)text_server.adapt(numeric[0], 0.0),
-               std::invalid_argument);
+  EXPECT_THROW((void)text_server.adapt(numeric[0], 0.0), std::invalid_argument);
   EXPECT_THROW((void)num_server.adapt("abc", 0.0), std::invalid_argument);
 }
 

@@ -55,8 +55,7 @@ TEST(ShardedReloadTest, InterleavedReloadsKeepEveryBatchOnOneGeneration) {
   const auto golden_b = testutil::oracle(b, rows);
   ASSERT_NE(golden_a, golden_b);
 
-  for (const ShardScheme scheme :
-       {ShardScheme::Rows, ShardScheme::Classes}) {
+  for (const ShardScheme scheme : {ShardScheme::Rows, ShardScheme::Classes}) {
     ShardedServer server(a, fork_pair(scheme));
     hdc::serve::Predictions batch = server.predict(rows);
     EXPECT_EQ(batch.generation, 1u);
@@ -95,8 +94,7 @@ TEST(ShardedReloadTest, ConcurrentPredictAndReloadNeverTearsABatch) {
     predictors.emplace_back([&server, &rows, &observed] {
       for (int i = 0; i < 25; ++i) {
         hdc::serve::Predictions batch = server.predict(rows);
-        observed.push_back(
-            {batch.generation, std::move(batch.predictions)});
+        observed.push_back({batch.generation, std::move(batch.predictions)});
       }
     });
   }
@@ -113,8 +111,7 @@ TEST(ShardedReloadTest, ConcurrentPredictAndReloadNeverTearsABatch) {
   for (const auto& observed : per_thread) {
     ASSERT_EQ(observed.size(), 25u);
     for (const Observed& batch : observed) {
-      const auto& golden =
-          batch.generation % 2 == 1 ? golden_a : golden_b;
+      const auto& golden = batch.generation % 2 == 1 ? golden_a : golden_b;
       // Attributable to exactly one generation: the whole batch equals
       // that generation's oracle bit for bit.
       EXPECT_EQ(batch.predictions, golden)
@@ -135,8 +132,7 @@ TEST(ShardedReloadTest, ReloadChecksumsTheReplacementEvenUnderTrust) {
     const auto offset = static_cast<std::streamoff>(
         snapshot.section(hdc::io::find_model_section(snapshot))
             .payload_offset);
-    std::fstream file(corrupt,
-                      std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream file(corrupt, std::ios::in | std::ios::out | std::ios::binary);
     char byte = 0;
     file.seekg(offset);
     file.read(&byte, 1);

@@ -1078,6 +1078,16 @@ TEST(NetServerTest, ConstructorValidatesOptions) {
   NetServerOptions zero_batch;
   zero_batch.batch_size = 0;
   EXPECT_THROW(NetServer(predictor, zero_batch), std::invalid_argument);
+  // The flush deadline is oldest + interval in nanoseconds: an interval
+  // past the bound, or negative, is refused before any socket is bound.
+  const auto max = hdc::serve::MicroBatcher::max_flush_interval();
+  for (const auto bad : {max + std::chrono::microseconds(1),
+                         std::chrono::microseconds::max(),
+                         std::chrono::microseconds(-1)}) {
+    NetServerOptions flush;
+    flush.flush_interval = bad;
+    EXPECT_THROW(NetServer(predictor, flush), std::invalid_argument);
+  }
   NetServerOptions bad_host;
   bad_host.host = "not-an-address";
   EXPECT_THROW(NetServer(predictor, bad_host), std::runtime_error);

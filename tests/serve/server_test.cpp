@@ -437,9 +437,9 @@ TEST(ServerTest, OneRoundPredictMatchesPerRowPipeline) {
         language_id.labels.push_back(language.classify_text(lines[i]));
         language_id.tops.push_back(language.classifier().predict_top2(line));
       }
-      const std::span<const std::vector<double>> numeric_rows(features);
+      const std::span<const std::vector<double>> feature_rows(features);
       const std::span<const std::string> text_rows(lines);
-      expect_classes_match(local_classifier, numeric_rows, numeric);
+      expect_classes_match(local_classifier, feature_rows, numeric);
       expect_classes_match(local_language, text_rows, language_id);
     }
   }
@@ -753,6 +753,19 @@ TEST(ServerTest, RejectsArityMismatchAndZeroBatch) {
   ServerOptions zero;
   zero.batch_size = 0;
   EXPECT_THROW(Server(pipeline, zero), std::invalid_argument);
+  // Past the bound the deadline arithmetic would overflow; a negative
+  // interval is refused too.
+  const auto max = hdc::serve::MicroBatcher::max_flush_interval();
+  for (const auto bad : {max + std::chrono::microseconds(1),
+                         std::chrono::microseconds::max(),
+                         std::chrono::microseconds(-1)}) {
+    ServerOptions flush;
+    flush.flush_interval = bad;
+    EXPECT_THROW(Server(pipeline, flush), std::invalid_argument);
+  }
+  ServerOptions longest;
+  longest.flush_interval = max;
+  EXPECT_NO_THROW(Server(pipeline, longest));
 
   const Server server(pipeline, {});
   std::istringstream in("1,2\n");

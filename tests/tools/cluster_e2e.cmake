@@ -6,7 +6,8 @@
 # against the single-process baseline (which itself matches the committed
 # golden).  Also asserts the operator summary names the cluster shape, the
 # fork banner lists worker pids, --latency measures real per-row latency,
-# and bad flag values are refused.
+# and bad flag values (a replica count above the bound among them) are
+# refused.
 #
 # Inputs: -DHDCGEN=<tool path> -DWORK_DIR=<scratch dir>
 #         -DDATA_DIR=<tests/serve/data>
@@ -199,6 +200,20 @@ execute_process(
 if(code EQUAL 0 OR NOT err MATCHES "backend")
   message(FATAL_ERROR
     "bad --backend: expected nonzero exit with a diagnostic, got ${code}\n${err}")
+endif()
+
+# --- the replica count is bounded before any rank starts: one past
+# ShardedServer::max_replicas() is a named error (exit 1).  Loopback keeps
+# the check from forking even if the bound were ever lost.
+execute_process(
+  COMMAND "${HDCGEN}" serve "${SNAPSHOT}" --replicas 257 --backend loopback
+  INPUT_FILE "${ROWS}"
+  TIMEOUT 60
+  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code)
+if(NOT code EQUAL 1 OR
+   NOT err MATCHES "replicas 257 exceeds the supported maximum of 256")
+  message(FATAL_ERROR
+    "--replicas 257: expected exit 1 naming the bound, got ${code}\n${err}")
 endif()
 
 message(STATUS "cluster_e2e: all checks passed")

@@ -130,6 +130,29 @@ foreach(bad_port 70000 -1 abc)
   endif()
 endforeach()
 
+# --- serve --flush-us is bounded before it becomes an interval: a count
+# that would wrap to a negative ("off") interval, or overflow the
+# nanosecond deadline arithmetic, is a named flag error (exit 1).  The
+# bound itself (one year in microseconds) is still accepted.
+foreach(bad_flush 18446744073709551615 9223372036854775807)
+  execute_process(
+    COMMAND "${HDCGEN}" serve "${WORK_DIR}/pipeline_reg.hdcs"
+      --flush-us ${bad_flush}
+    INPUT_FILE "${WORK_DIR}/one_row.csv"
+    TIMEOUT 10
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  set(want "--flush-us ${bad_flush} exceeds the maximum of 31536000000000")
+  if(NOT code EQUAL 1 OR NOT err MATCHES "${want}")
+    message(FATAL_ERROR
+      "serve --flush-us ${bad_flush}: expected exit 1 naming the bound, "
+      "got '${code}'\n${out}${err}")
+  endif()
+endforeach()
+run_stdin(ok "served 1 rows" "${WORK_DIR}/one_row.csv"
+    serve "${WORK_DIR}/pipeline_reg.hdcs" --flush-us 31536000000000)
+
 # --- flag spellings: `--flag value` and `--flag=value` mix freely across
 # different flags, but the same flag twice — in any spelling combination —
 # is a diagnosed error, never a silent first-wins.

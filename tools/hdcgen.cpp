@@ -544,8 +544,16 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
   const std::size_t batch = flags.count_or("--batch", 1, 64);
   std::chrono::microseconds flush_interval{0};
   if (flags.value("--flush-us")) {
-    flush_interval = std::chrono::microseconds(
-        static_cast<long long>(flags.count("--flush-us", 0)));
+    // Bounded before the cast: a huge count must not wrap to a negative
+    // ("off") interval or overflow the nanosecond deadline arithmetic.
+    const std::size_t us = flags.count("--flush-us", 0);
+    const auto max = hdc::serve::MicroBatcher::max_flush_interval().count();
+    if (us > static_cast<std::size_t>(max)) {
+      throw std::invalid_argument(
+          "--flush-us " + std::to_string(us) + " exceeds the maximum of " +
+          std::to_string(max));
+    }
+    flush_interval = std::chrono::microseconds(static_cast<long long>(us));
   }
   const std::size_t threads = flags.count_or("--threads", 0, 0);
 
